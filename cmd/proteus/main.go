@@ -73,7 +73,6 @@ func main() {
 	walSegMB := flag.Int("wal-segment-mb", 4, "with -wal-dir, segment size in MiB before snapshot+compaction")
 	walShards := flag.Int("wal-shards", 1, "with -wal-dir, fan the log out into N per-shard segment streams (parallel fsync, seq-merged recovery); applies only when creating a fresh log — an existing directory keeps its layout")
 	walRecoverWorkers := flag.Int("wal-recover-workers", 0, "with -wal-dir, parallel frame-decode workers while recovering an existing log; replay is bit-identical at every setting (0 = all cores, 1 = serial)")
-	shards := flag.Int("shards", 0, "with -serve, partition the scheduler's admission queue and decision loop into N shards; bills, stats, and traces are bit-identical at every setting (0 or 1 = single shard)")
 	maxQueue := flag.Int("max-queue", 0, "with -serve, cap on jobs waiting for admission; submissions beyond it get 429 + Retry-After (0 = unbounded)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "with -serve, cap on simultaneously running jobs (0 = unbounded)")
 	traceLimit := flag.Int("trace-limit", 0, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it (0 = keep all)")
@@ -132,7 +131,6 @@ func main() {
 			walSegmentMB:      *walSegMB,
 			walShards:         *walShards,
 			walRecoverWorkers: *walRecoverWorkers,
-			shards:            *shards,
 			maxQueue:          *maxQueue,
 			maxConcurrent:     *maxConcurrent,
 			traceLimit:        *traceLimit,

@@ -36,10 +36,6 @@ type serveOptions struct {
 	// uses (0 = GOMAXPROCS, 1 = serial). The replay is bit-identical at
 	// every setting; this only trades restart latency against CPU.
 	walRecoverWorkers int
-	// shards partitions the scheduler's admission queue and decision loop;
-	// bills, stats, and traces are bit-identical at every setting. 0 or 1
-	// runs single-shard.
-	shards int
 	// maxQueue caps the admission backlog (429 beyond it); 0 unbounded.
 	maxQueue int
 	// maxConcurrent caps simultaneously running jobs; 0 unbounded.
@@ -111,7 +107,6 @@ func runServe(ctx context.Context, cfg experiments.MarketConfig, o *obs.Observer
 			Policy:        policy.Name(),
 			MaxConcurrent: so.maxConcurrent,
 			Forecast:      so.forecast,
-			Shards:        so.shards,
 			WALShards:     so.walShards,
 		})
 		if err != nil {
@@ -150,9 +145,6 @@ func runServe(ctx context.Context, cfg experiments.MarketConfig, o *obs.Observer
 	scfg := experiments.SchedConfig(env.Brain, policy)
 	scfg.Observer = o
 	scfg.MaxConcurrent = so.maxConcurrent
-	// Decision shards are bit-identical at every count, so recovery does
-	// not need the crashed run's setting — the flag always wins.
-	scfg.Shards = so.shards
 	if so.forecast {
 		scfg.Forecast = forecast.DefaultOptions()
 	}

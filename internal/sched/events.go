@@ -260,9 +260,11 @@ type Stats struct {
 
 	// Recovered reports the scheduler was built by Recover from a WAL;
 	// RecoveredJobs is how many submissions the replay restored.
-	// CatchingUp is true while a recovered Serve loop is still
-	// fast-forwarding the virtual clock to where the crashed run left
-	// off (new submissions are accepted throughout).
+	// CatchingUp is true from Recover until the drive loop has
+	// fast-forwarded the virtual clock to where the crashed run left off,
+	// or has nothing left to replay because every job is terminal (the
+	// log's last record can post-date the last completion). New
+	// submissions are accepted throughout.
 	Recovered     bool
 	RecoveredJobs int
 	CatchingUp    bool
@@ -292,7 +294,7 @@ func (s *Scheduler) Stats() Stats {
 		SpansDropped:  s.obs().Trace().Dropped(),
 		Recovered:     s.recovered,
 		RecoveredJobs: s.recoveredJobs,
-		CatchingUp:    s.recovered && s.started && s.eng.Now() < s.resumeTo,
+		CatchingUp:    s.recovered && (!s.started || (s.eng.Now() < s.resumeTo && !s.allTerminal())),
 	}
 	if s.started {
 		st.Now = s.eng.Now() - s.startAt

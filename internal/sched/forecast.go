@@ -227,7 +227,7 @@ func (s *Scheduler) forecastTick() {
 	// risk over the lead crosses the threshold (only holders that opted
 	// in; idle capacity has no state to drain).
 	drained := 0
-	for _, id := range s.sortedAllocIDs() {
+	for _, id := range s.allocOrder {
 		ba := s.allocs[id]
 		if ba.outOfPool() {
 			continue
@@ -257,7 +257,7 @@ func (s *Scheduler) forecastTick() {
 
 	// Pre-acquire: buy the drained capacity's replacement now, before
 	// the predicted spike prices the market out of reach.
-	if drained > 0 && s.decide(nil) {
+	if drained > 0 && s.decide(trigger{acquire: true}) {
 		s.fc.preAcquires++
 		reg.Counter("proteus_forecast_preacquires_total",
 			"replacement acquisitions made in the same tick as a pre-drain").Inc()
@@ -293,9 +293,7 @@ func (s *Scheduler) preDrain(ba *brokerAlloc, p float64) {
 		}
 		s.resolvePredrain(ba, false)
 		ba.predrained = false
-		if !s.draining {
-			s.rebalance("predrain-miss")
-		}
+		s.rebalance("predrain-miss")
 	})
 }
 

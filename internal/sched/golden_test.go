@@ -69,13 +69,9 @@ func goldenConfig(cfg Config, mutate func(*Config)) Config {
 	return cfg
 }
 
-func goldenRun(t *testing.T, jobs []Job, mutate func(*Config)) (string, Stats) {
-	t.Helper()
-	sum, st, _ := goldenRunFP(t, jobs, mutate)
-	return sum, st
-}
-
-func goldenRunFP(t *testing.T, jobs []Job, mutate func(*Config)) (string, Stats, string) {
+// goldenRun returns the run's digest, its stats and the undigested
+// fingerprint.
+func goldenRun(t *testing.T, jobs []Job, mutate func(*Config)) (string, Stats, string) {
 	t.Helper()
 	f := newRecoveryFixture(t, goldenSeed)
 	eng, mkt := f.env(t)
@@ -104,7 +100,7 @@ func checkGolden(t *testing.T, name, got, want string) {
 }
 
 func TestGoldenFair(t *testing.T) {
-	got, st := goldenRun(t, shardJobs(), nil)
+	got, st, _ := goldenRun(t, shardJobs(), nil)
 	if st.Done != len(shardJobs()) || st.Rebalances == 0 {
 		t.Fatalf("workload too tame to pin anything: %+v", st)
 	}
@@ -112,7 +108,7 @@ func TestGoldenFair(t *testing.T) {
 }
 
 func TestGoldenDeadlineFirst(t *testing.T) {
-	got, st := goldenRun(t, shardJobs(), func(c *Config) { c.Policy = DeadlineFirst{} })
+	got, st, _ := goldenRun(t, shardJobs(), func(c *Config) { c.Policy = DeadlineFirst{} })
 	if st.Done != len(shardJobs()) {
 		t.Fatalf("deadline run left jobs behind: %+v", st)
 	}
@@ -123,7 +119,7 @@ func TestGoldenTightDeadline(t *testing.T) {
 	jobs := shardJobs()
 	jobs[4].Deadline = 3 * time.Hour
 	jobs[9].Deadline = 4 * time.Hour
-	got, _, fp := goldenRunFP(t, jobs, func(c *Config) { c.Policy = DeadlineFirst{} })
+	got, _, fp := goldenRun(t, jobs, func(c *Config) { c.Policy = DeadlineFirst{} })
 	if !strings.Contains(fp, "deadline acquisition") {
 		t.Fatal("no decision took the urgent-deadline branch; tighten the deadlines")
 	}
@@ -135,7 +131,7 @@ func TestGoldenProactive(t *testing.T) {
 	for i := range jobs {
 		jobs[i].Proactive = true
 	}
-	got, st := goldenRun(t, jobs, func(c *Config) { c.Forecast = forecast.DefaultOptions() })
+	got, st, _ := goldenRun(t, jobs, func(c *Config) { c.Forecast = forecast.DefaultOptions() })
 	if !st.Forecast.Enabled || st.Forecast.PreDrains == 0 {
 		t.Fatalf("proactive run never pre-drained, the forecast hook is unpinned: %+v", st.Forecast)
 	}
@@ -166,29 +162,8 @@ func withShardsMeta(t *testing.T, data []byte) []byte {
 func goldenCrashRun(t *testing.T, rewrite func(*testing.T, []byte) []byte) (recovered, firstLifeWAL string) {
 	t.Helper()
 	f := newRecoveryFixture(t, goldenSeed)
-	walDir := t.TempDir()
-	log, err := wal.Create(walDir, wal.Meta{Seed: goldenSeed, Note: "golden"}, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, mkt := f.env(t)
-	cfg := goldenConfig(f.config(eng), nil)
-	cfg.WAL = log
-	s, err := New(eng, mkt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range shardJobs() {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	walDir := f.loggedRun(t, wal.Meta{Seed: goldenSeed, Note: "golden"}, shardJobs(),
+		func(c *Config) { *c = goldenConfig(*c, nil) })
 	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments %v (err %v), want exactly 1", segs, err)

@@ -128,6 +128,40 @@ func (f *recoveryFixture) batchFingerprint(t *testing.T, jobs []Job) string {
 	return fingerprint(t, res, cfg.Observer)
 }
 
+// loggedRun drives the jobs to completion with a fresh flat WAL attached
+// and returns the closed log's directory — a first life to crash and
+// recover from.
+func (f *recoveryFixture) loggedRun(t *testing.T, meta wal.Meta, jobs []Job, mutate func(*Config)) string {
+	t.Helper()
+	walDir := t.TempDir()
+	log, err := wal.Create(walDir, meta, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, mkt := f.env(t)
+	cfg := f.config(eng)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	cfg.WAL = log
+	s, err := New(eng, mkt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return walDir
+}
+
 // walDirAt reproduces the on-disk state of a crash n bytes into the
 // single-segment log: a copy of the directory with the segment truncated.
 func walDirAt(t *testing.T, seg string, data []byte, n int) string {
@@ -190,7 +224,7 @@ func TestCrashRecoveryEveryRecordBoundary(t *testing.T) {
 	var bounds []int
 	for i, b := range data {
 		if b == '\n' {
-			bounds = append(bounds, i + 1)
+			bounds = append(bounds, i+1)
 		}
 	}
 	if len(bounds) < 20 {
@@ -401,7 +435,7 @@ func TestServeRecoveryCatchesUp(t *testing.T) {
 	var bounds []int
 	for i, b := range data {
 		if b == '\n' {
-			bounds = append(bounds, i + 1)
+			bounds = append(bounds, i+1)
 		}
 	}
 	if err := os.Truncate(segs[0], int64(bounds[len(bounds)*3/5])); err != nil {
@@ -546,5 +580,47 @@ func TestRecoveryWorkerCountFingerprintsMatch(t *testing.T) {
 		if fp != ref {
 			t.Errorf("workers=%d recovered run diverges from serial decode", w)
 		}
+	}
+}
+
+// TestCatchingUpSpansRecoverToCaughtUp pins the two instants the flag used
+// to get wrong: it must already read true between Recover and the start of
+// the drive loop (a client polling a freshly opened listener), and it must
+// drop once every replayed job is terminal even when the log's last record
+// post-dates the last completion (drain-time refunds and hour ends do).
+func TestCatchingUpSpansRecoverToCaughtUp(t *testing.T) {
+	const seed = 79
+	f := newRecoveryFixture(t, seed)
+	walDir := f.loggedRun(t, wal.Meta{Seed: seed}, crashJobs(), nil)
+	replay, err := wal.Recover(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.LastVirtual += 1000 * time.Hour // the last record far outlives the last job
+
+	eng2, mkt2 := f.env(t)
+	rs, err := Recover(eng2, mkt2, f.config(eng2), replay, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.Stats(); !st.Recovered || !st.CatchingUp {
+		t.Fatalf("before the drive loop starts: %+v, want Recovered and CatchingUp", st)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rs.Serve(ctx, ServeConfig{})
+		done <- err
+	}()
+	waitState(t, rs, 0, Done)
+	waitState(t, rs, 1, Done)
+	waitState(t, rs, 2, Expired)
+	if st := rs.Stats(); st.CatchingUp {
+		t.Fatalf("every job terminal at %v, resume point %v, still catching up", st.Now, replay.LastVirtual)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,10 +15,7 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +26,6 @@ import (
 	"proteus/internal/market"
 	"proteus/internal/obs"
 	"proteus/internal/sim"
-	"proteus/internal/trace"
 	"proteus/internal/wal"
 )
 
@@ -205,13 +201,6 @@ type Config struct {
 	// they mutate scheduler state; a failed append rejects the Submit.
 	// Both the flat *wal.Log and the sharded router satisfy Writer.
 	WAL wal.Writer
-	// Shards partitions the admission queue and the decision tick's
-	// footprint evaluation into N shards keyed by wal.ShardFor(jobID).
-	// The tick snapshots state under the lock, evaluates shards in
-	// parallel with the lock released, and commits in fixed shard-merge
-	// order, so bills, stats, and trace trees are bit-identical at every
-	// setting. 0 or 1 means a single shard.
-	Shards int
 	// Forecast, when set, runs a per-type online eviction forecaster over
 	// the observed price stream and enables proactive drain/pre-acquire
 	// for jobs submitted with Proactive=true. Nil keeps the reactive
@@ -232,9 +221,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxConcurrent < 0 {
 		return fmt.Errorf("sched: MaxConcurrent must be non-negative")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sched: Shards must be non-negative")
 	}
 	if c.Forecast != nil {
 		if err := c.Forecast.Validate(); err != nil {
@@ -276,9 +262,6 @@ type jobRun struct {
 	// slot order so rebalance tie-breaks are independent of how the set
 	// is maintained.
 	slot int
-	// queueIdx is the job's position in the admission heap, -1 when not
-	// queued.
-	queueIdx int
 }
 
 // brokerAlloc is one market allocation owned by the footprint broker and
@@ -359,10 +342,10 @@ type Scheduler struct {
 
 	// fc is the online forecasting state (nil without Config.Forecast).
 	fc *schedForecast
-	// priceScratch is the reusable spot-price map decide() and the tick
-	// snapshot hand to BidBrain; priceSub keeps it fresh by polling the
-	// market's per-type change subscription, so a tick re-reads only the
-	// types that actually moved.
+	// priceScratch is the reusable spot-price map decision snapshots hand
+	// to BidBrain; priceSub keeps it fresh by polling the market's
+	// per-type change subscription, so a decision re-reads only the types
+	// that actually moved.
 	priceScratch map[string]float64
 	priceSub     *market.PriceSub
 	// fcSub/fcMoved are the forecaster's own change subscription and its
@@ -389,24 +372,20 @@ type Scheduler struct {
 
 	// O(1) indexes over s.jobs, so a service ingesting ~1M jobs never
 	// scans the whole population per event: per-state counts, the
-	// highest submitted ID, the admission queue as per-shard heaps
-	// ordered by admitBefore, and the running set in s.jobs slot order.
+	// highest submitted ID, the admission queue as a heap ordered by
+	// admitBefore, and the running set in s.jobs slot order.
 	stateCount [5]int
 	maxID      int // -1 until the first submission
-	shards     []decShard
+	queue      admitHeap
 	running    []*jobRun
 
-	// scratch free-lists for the broker's hot walks. Borrow/return, not
-	// single fields: the walks nest (rebalance → grant → recomputeRate →
-	// onJobDone → rebalance("completion")).
-	idFree   [][]market.AllocationID
-	runFree  [][]*jobRun
-	reqFree  [][]ShareRequest
+	// chunkCount is Config.ChunkCores in instances of the market's
+	// smallest type: the size of one acquisition candidate.
+	chunkCount int
+	// snapFree and tgtFree are the decision path's scratch free-lists
+	// (decision.go, broker.go).
+	snapFree []*snapshot
 	tgtFree  []map[int]int
-	footFree [][]bidbrain.AllocState
-	// tickScratch holds the short-hold tick's snapshot/plan buffers
-	// (ticks never nest, so a single reusable pair suffices).
-	tickScratch *tickState
 
 	// wal durability: transitions append to wal while the virtual clock
 	// is at or past walMuteUntil (catch-up replay of recovered history
@@ -443,18 +422,21 @@ func New(eng *sim.Engine, mkt *market.Market, cfg Config) (*Scheduler, error) {
 		maxID:  -1,
 		wal:    cfg.WAL,
 	}
-	nsh := cfg.Shards
-	if nsh < 1 {
-		nsh = 1
-	}
-	s.shards = make([]decShard, nsh)
 	// The market horizon bounds the run: when the price traces end, no
 	// further market events fire and unfinished jobs are reported as
-	// incomplete instead of spinning the decision ticker forever.
+	// incomplete instead of spinning the decision ticker forever. The
+	// same walk finds the smallest type, which sizes a candidate.
+	smallest := 0
 	for _, t := range mkt.Types() {
 		if tr, ok := mkt.Trace(t.Name); ok && tr.Duration() > s.horizon {
 			s.horizon = tr.Duration()
 		}
+		if smallest == 0 || t.VCPUs < smallest {
+			smallest = t.VCPUs
+		}
+	}
+	if smallest > 0 {
+		s.chunkCount = max(1, cfg.ChunkCores/smallest)
 	}
 	if cfg.Forecast != nil {
 		fc, err := newSchedForecast(mkt, *cfg.Forecast)
@@ -464,1149 +446,6 @@ func New(eng *sim.Engine, mkt *market.Market, cfg Config) (*Scheduler, error) {
 		s.fc = fc
 	}
 	return s, nil
-}
-
-// Submit registers a job. Before Run or Serve starts, submissions
-// simply join the batch. Once the scheduler is being driven, Submit is
-// safe to call from any goroutine: the job is injected into the live
-// timeline, its arrival clamped forward to the current virtual time if
-// the requested offset already passed. Submissions are rejected once
-// the scheduler is draining for shutdown or has finished.
-func (s *Scheduler) Submit(job Job) error {
-	s.submitWaiters.Add(1)
-	s.mu.Lock()
-	s.submitWaiters.Add(-1)
-	defer s.mu.Unlock()
-	if s.finished {
-		return fmt.Errorf("sched: Submit after the run finished")
-	}
-	if s.closing {
-		return fmt.Errorf("sched: scheduler is draining, not accepting jobs")
-	}
-	if err := job.Spec.Validate(); err != nil {
-		return fmt.Errorf("sched: job %d: %w", job.ID, err)
-	}
-	if job.Arrival < 0 {
-		return fmt.Errorf("sched: job %d: negative arrival", job.ID)
-	}
-	if _, dup := s.byID[job.ID]; dup {
-		return fmt.Errorf("sched: duplicate job ID %d", job.ID)
-	}
-	j := &jobRun{job: job, state: Pending, queueIdx: -1, traceID: obs.NewTraceID(s.cfg.TraceSeed, uint64(job.ID))}
-	var arriveAt time.Duration
-	if s.started {
-		now := s.eng.Now()
-		arriveAt = s.startAt + job.Arrival
-		if arriveAt < now {
-			// The requested offset is already in the virtual past; the job
-			// arrives now and its record reflects the effective arrival.
-			arriveAt = now
-			j.job.Arrival = now - s.startAt
-		}
-		j.lastAccrue = now
-	}
-	// Log-before-mutate: the submission (with its effective, post-clamp
-	// arrival) must be durable-loggable before any scheduler state
-	// changes, so a crash never knows a job the log does not.
-	if err := s.walSubmit(j); err != nil {
-		return fmt.Errorf("sched: job %d: %w", job.ID, err)
-	}
-	if s.started {
-		s.eng.AtTransient(arriveAt, "sched.arrival", func() { s.arrive(j) })
-		// Live submissions take the next slot directly; batch submissions
-		// are re-slotted by the startJobsLocked sort.
-		j.slot = len(s.jobs)
-	}
-	// The root of the job's causal trace opens at submission; the
-	// validate/enqueue step is its first child. Safe here: mu serializes
-	// Submit against engine stepping, so the clock read cannot race.
-	j.span = s.obs().Trace().StartTrace(j.traceID, "sched", "job").
-		Detailf("job %d (%s) prio=%d deadline=%v", j.job.ID, j.job.Name, j.job.Priority, j.job.Deadline)
-	j.span.Eventf("sched", "submit", "spec validated; target=%.1f core-hours, arrival=+%v",
-		j.job.Spec.TargetWork, j.job.Arrival)
-	s.jobs = append(s.jobs, j)
-	s.byID[job.ID] = j
-	s.stateCount[Pending]++
-	if job.ID > s.maxID {
-		s.maxID = job.ID
-	}
-	if s.started {
-		// Nudge a Serve loop sleeping on an idle timeline.
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// NextJobID returns one greater than the highest submitted job ID (zero
-// when none) — a convenient unique-ID source for submitters like the
-// HTTP control plane.
-func (s *Scheduler) NextJobID() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxID + 1
-}
-
-// startJobsLocked begins the run: anchors the reliable tier, installs
-// the market handler, arms the decision ticker, and schedules the
-// arrivals of everything submitted so far. The ticker is armed before
-// the arrival events so that batch runs and live Serve submissions
-// order identically at virtual-time ties (a served job's arrival is
-// always scheduled after the ticker; the batch path must match or the
-// two drive modes would bill differently on the same seed). Callers
-// hold mu.
-func (s *Scheduler) startJobsLocked() error {
-	s.started = true
-	sort.Slice(s.jobs, func(i, j int) bool { return s.jobs[i].job.ID < s.jobs[j].job.ID })
-	for i, j := range s.jobs {
-		j.slot = i
-	}
-
-	s.startAt = s.eng.Now()
-	s.startCost = s.mkt.TotalCost()
-	s.startUsage = s.mkt.TotalUsage()
-
-	reliable, err := s.mkt.RequestOnDemand(s.cfg.ReliableType, s.cfg.ReliableCount)
-	if err != nil {
-		return err
-	}
-	s.reliable = reliable
-	s.mkt.SetHandler(s)
-
-	s.ticker = s.eng.Every(decisionPeriod, "sched.decide", func() {
-		if s.draining || s.allTerminal() {
-			return
-		}
-		s.walTransition(wal.Record{Kind: wal.KindTick, JobID: -1})
-		// Forecast first: pre-drains must release their leases (and
-		// pre-acquires claim their replacements) before the regular
-		// decision sees the footprint.
-		s.forecastTick()
-		// The short-hold tick: snapshot under the lock, evaluate the
-		// decision shards with the lock released, revalidate and commit
-		// under a brief critical section (shard.go).
-		s.tickDecide()
-	})
-	for _, j := range s.jobs {
-		j.lastAccrue = s.startAt
-		jr := j
-		s.eng.AtTransient(s.startAt+jr.job.Arrival, "sched.arrival", func() { s.arrive(jr) })
-	}
-	return nil
-}
-
-// Run executes every submitted job and returns the consolidated
-// accounting. It drives the engine until all jobs reach a terminal
-// state or the market horizon is exhausted. The mutex is released
-// between engine steps, so Submit may inject jobs while Run is driving.
-func (s *Scheduler) Run() (*Result, error) {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("sched: Run called twice")
-	}
-	if len(s.jobs) == 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("sched: no jobs submitted")
-	}
-	if err := s.startJobsLocked(); err != nil {
-		s.mkt.SetHandler(nil)
-		s.mu.Unlock()
-		return nil, err
-	}
-	for s.runErr == nil && !s.allTerminal() && s.eng.Now() <= s.horizon {
-		stepped := s.eng.Step()
-		// Yield between steps: a concurrent Submit (the API path) takes
-		// the mutex here and injects into the live timeline. The unlock
-		// alone is not enough — an immediate re-Lock usually wins the
-		// unfair mutex race — so hand the processor over when submitters
-		// are actually waiting.
-		s.mu.Unlock()
-		if s.submitWaiters.Load() > 0 {
-			runtime.Gosched()
-		}
-		s.mu.Lock()
-		if !stepped {
-			break
-		}
-	}
-	res, err := s.settleLocked()
-	s.mu.Unlock()
-	return res, err
-}
-
-// settleLocked finalizes the run: accrues the stragglers, executes the
-// shutdown/drain, and assembles the Result. Callers hold mu.
-func (s *Scheduler) settleLocked() (*Result, error) {
-	s.ticker.Stop()
-	s.finished = true
-	defer s.mkt.SetHandler(nil)
-	if s.runErr != nil {
-		return nil, s.runErr
-	}
-	// Serve-injected jobs appended after the initial sort; restore the
-	// promised ID order before assembling results.
-	sort.Slice(s.jobs, func(i, j int) bool { return s.jobs[i].job.ID < s.jobs[j].job.ID })
-	for _, j := range s.jobs {
-		if j.state == Running {
-			s.accrueJob(j)
-		}
-	}
-	makespan := s.eng.Now() - s.startAt
-
-	// Snapshot paid-but-unused final-hour fractions before the shutdown
-	// path decides their fate (terminated hours stay paid; evicted ones
-	// are refunded and excluded below).
-	type pending struct {
-		alloc  *market.Allocation
-		unused float64
-	}
-	var pendings []pending
-	now := s.eng.Now()
-	for _, a := range s.mkt.ActiveAllocations() {
-		unused := a.ChargedThrough() - now
-		if unused < 0 {
-			unused = 0
-		}
-		frac := unused.Hours() / trace.BillingHour.Hours()
-		pendings = append(pendings, pending{alloc: a, unused: a.HourCharge() * frac})
-	}
-
-	harvested, err := s.shutdown()
-	if err != nil {
-		return nil, err
-	}
-	// Jobs still short of terminal state at settle (horizon exhausted,
-	// service drained) close their trace roots here so no span is left
-	// open forever.
-	for _, j := range s.jobs {
-		s.endJobSpan(j, "settled "+j.state.String())
-	}
-	// The final instant's coalesced point (the shutdown just rewrote it)
-	// must land before the timeline is frozen into the Result.
-	s.flushTimelineLocked()
-
-	out := &Result{
-		TotalCost:        s.mkt.TotalCost() - s.startCost,
-		HarvestedRefunds: harvested,
-		Makespan:         makespan,
-		Rebalances:       s.rebalances,
-		Timeline:         s.timeline,
-	}
-	for _, p := range pendings {
-		if p.alloc.State() != market.Evicted {
-			out.UnusedPaid += p.unused
-		}
-	}
-	u := s.mkt.TotalUsage()
-	u.OnDemandHours -= s.startUsage.OnDemandHours
-	u.SpotHours -= s.startUsage.SpotHours
-	u.FreeHours -= s.startUsage.FreeHours
-	out.Usage = u
-
-	// Attribute the exact total pro-rata by paid leased core-seconds:
-	// shared-footprint refunds can land after the job that triggered the
-	// charge finished, so window-delta accounting per job would mislead.
-	adjusted := out.TotalCost - out.UnusedPaid
-	var totalShare float64
-	for _, j := range s.jobs {
-		totalShare += j.coreSeconds
-	}
-	for _, j := range s.jobs {
-		jr := JobResult{
-			Job:         j.job,
-			State:       j.state,
-			Completed:   j.state == Done,
-			QueuedAt:    j.queuedAt - s.startAt,
-			Work:        j.work,
-			Evictions:   j.evictions,
-			MetDeadline: j.job.Deadline == 0,
-		}
-		if j.state == Running || j.state == Done {
-			jr.StartedAt = j.startedAt - s.startAt
-			jr.Wait = j.startedAt - j.queuedAt
-		}
-		if j.state == Done {
-			jr.Finished = j.finished - s.startAt
-			jr.Runtime = j.finished - j.startedAt
-			if j.job.Deadline > 0 {
-				jr.MetDeadline = jr.Finished <= j.job.Deadline
-			}
-		} else if j.job.Deadline > 0 {
-			jr.MetDeadline = false
-		}
-		if totalShare > 0 {
-			jr.Cost = adjusted * j.coreSeconds / totalShare
-		} else if n := len(s.jobs); n > 0 {
-			jr.Cost = adjusted / float64(n)
-		}
-		out.Jobs = append(out.Jobs, jr)
-	}
-	return out, nil
-}
-
-// shutdown releases the footprint after the last job. With Drain, spot
-// allocations run out their charged billing hours "in hope that they are
-// evicted … prior to the end of the billing hour" (§5), generalized here
-// across tenants; without it, everything not already under an eviction
-// warning terminates immediately (warned allocations are waited out so
-// their imminent refunds are collected, not forfeited).
-func (s *Scheduler) shutdown() (float64, error) {
-	s.draining = true
-	for _, id := range s.sortedAllocIDs() {
-		s.release(s.allocs[id])
-	}
-	costBefore := s.mkt.TotalCost()
-	if err := s.mkt.Terminate(s.reliable); err != nil {
-		return 0, err
-	}
-	if !s.cfg.Drain {
-		for _, id := range s.sortedAllocIDs() {
-			ba := s.allocs[id]
-			if ba.warned {
-				continue // eviction (and its refund) is at most a warning away
-			}
-			if err := s.mkt.Terminate(ba.alloc); err != nil {
-				return 0, err
-			}
-			s.removeAlloc(id)
-		}
-	}
-	// Remaining allocations die at their armed hour-end decisions or get
-	// evicted (refunded) first; no new hours start while draining.
-	for len(s.allocs) > 0 && s.eng.Step() {
-	}
-	harvested := costBefore - s.mkt.TotalCost()
-	if harvested < 0 {
-		harvested = 0
-	}
-	return harvested, nil
-}
-
-func (s *Scheduler) fail(err error) {
-	if s.runErr == nil {
-		s.runErr = err
-	}
-}
-
-func (s *Scheduler) allTerminal() bool {
-	return s.stateCount[Pending]+s.stateCount[Queued]+s.stateCount[Running] == 0
-}
-
-// setState moves a job between lifecycle states, keeping the per-state
-// counts (the O(1) backing of allTerminal, countState, and Stats).
-func (s *Scheduler) setState(j *jobRun, st JobState) {
-	s.stateCount[j.state]--
-	j.state = st
-	s.stateCount[st]++
-}
-
-// --- job lifecycle -------------------------------------------------
-
-func (s *Scheduler) arrive(j *jobRun) {
-	if s.draining || j.state != Pending {
-		return
-	}
-	now := s.eng.Now()
-	j.queuedAt = now
-	if j.job.Deadline > 0 && now >= s.startAt+j.job.Deadline {
-		s.setState(j, Expired)
-		s.walTransition(wal.Record{Kind: wal.KindExpire, JobID: j.job.ID})
-		s.jobCounter("expired").Inc()
-		s.emitJob(EventExpired, j, fmt.Sprintf("arrived after deadline %v", j.job.Deadline))
-		s.endJobSpan(j, "expired")
-		return
-	}
-	s.setState(j, Queued)
-	heap.Push(&s.shards[wal.ShardFor(j.job.ID, len(s.shards))].queue, j)
-	s.jobCounter("queued").Inc()
-	s.emitJob(EventQueued, j, fmt.Sprintf("priority=%d deadline=%v", j.job.Priority, j.job.Deadline))
-	s.admit()
-	s.decide(j.span)
-	s.rebalance("arrival")
-}
-
-// endJobSpan closes the job's root trace span with a final-state detail.
-func (s *Scheduler) endJobSpan(j *jobRun, why string) {
-	if j.span == nil {
-		return
-	}
-	j.span.Detailf("job %d (%s) %s: work=%.1f evictions=%d", j.job.ID, j.job.Name, why, j.work, j.evictions).End()
-	j.span = nil
-}
-
-// admit moves queued jobs to running while concurrency slots are free.
-// Admission order is priority-first, then earliest deadline, then
-// arrival, then ID — the deadline-aware queue ordering; core *shares*
-// among admitted jobs are the pluggable policy's business. The queue is
-// sharded into per-shard heaps over that (total) order; popAdmit takes
-// the minimum across shard heads, so admission picks the same job one
-// big heap (or a full scan) would.
-func (s *Scheduler) admit() {
-	for {
-		if s.cfg.MaxConcurrent > 0 && s.stateCount[Running] >= s.cfg.MaxConcurrent {
-			return
-		}
-		next := s.popAdmit()
-		if next == nil {
-			return
-		}
-		s.setState(next, Running)
-		s.insertRunning(next)
-		s.walTransition(wal.Record{Kind: wal.KindAdmit, JobID: next.job.ID})
-		next.startedAt = s.eng.Now()
-		next.lastAccrue = s.eng.Now()
-		if s.cfg.Hooks != nil {
-			next.hooks = s.cfg.Hooks(next.job)
-		}
-		s.jobCounter("running").Inc()
-		wait := next.startedAt - next.queuedAt
-		// The admission-wait histogram carries the job's trace ID as its
-		// bucket exemplar: a slow-admission spike on a dashboard links
-		// straight to a causal tree explaining the wait.
-		s.obs().Reg().Histogram("proteus_sched_admission_wait_seconds",
-			"queue wait from arrival to admission, in virtual seconds",
-			[]float64{0.001, 1, 5, 15, 60, 300, 900, 3600, 14400}).
-			ObserveEx(wait.Seconds(), next.traceID)
-		s.emitJob(EventAdmitted, next, fmt.Sprintf("waited %v", wait))
-	}
-}
-
-// admitBefore orders the admission queue.
-func admitBefore(a, b *jobRun) bool {
-	if a.job.Priority != b.job.Priority {
-		return a.job.Priority > b.job.Priority
-	}
-	da, db := a.job.Deadline, b.job.Deadline
-	if (da > 0) != (db > 0) {
-		return da > 0
-	}
-	if da > 0 && da != db {
-		return da < db
-	}
-	if a.job.Arrival != b.job.Arrival {
-		return a.job.Arrival < b.job.Arrival
-	}
-	return a.job.ID < b.job.ID
-}
-
-// admitHeap is the admission queue: a heap over admitBefore. Since the
-// order is total (ties broken by ID), popping yields exactly the job a
-// linear min-scan would pick.
-type admitHeap []*jobRun
-
-func (h admitHeap) Len() int            { return len(h) }
-func (h admitHeap) Less(i, j int) bool  { return admitBefore(h[i], h[j]) }
-func (h admitHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].queueIdx = i; h[j].queueIdx = j }
-func (h *admitHeap) Push(x interface{}) { j := x.(*jobRun); j.queueIdx = len(*h); *h = append(*h, j) }
-func (h *admitHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.queueIdx = -1
-	*h = old[:n-1]
-	return j
-}
-
-// insertRunning adds the job to the running set, kept in s.jobs slot
-// order so rebalance iterates runnable jobs exactly as a scan of s.jobs
-// would (pass-2 grant ties break on that order).
-func (s *Scheduler) insertRunning(j *jobRun) {
-	lo, hi := 0, len(s.running)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.running[mid].slot < j.slot {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.running = append(s.running, nil)
-	copy(s.running[lo+1:], s.running[lo:])
-	s.running[lo] = j
-}
-
-// removeRunning drops the job from the running set.
-func (s *Scheduler) removeRunning(j *jobRun) {
-	lo, hi := 0, len(s.running)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.running[mid].slot < j.slot {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.running) && s.running[lo] == j {
-		copy(s.running[lo:], s.running[lo+1:])
-		s.running[len(s.running)-1] = nil
-		s.running = s.running[:len(s.running)-1]
-	}
-}
-
-func (s *Scheduler) countState(st JobState) int {
-	return s.stateCount[st]
-}
-
-func (s *Scheduler) onJobDone(j *jobRun) {
-	if j.state != Running {
-		return
-	}
-	s.accrueJob(j)
-	s.setState(j, Done)
-	s.removeRunning(j)
-	j.finished = s.eng.Now()
-	s.walTransition(wal.Record{Kind: wal.KindDone, JobID: j.job.ID, Amount: j.work})
-	s.jobCounter("done").Inc()
-	s.emitJob(EventDone, j, fmt.Sprintf("work=%.1f evictions=%d", j.work, j.evictions))
-	if j.span != nil {
-		j.span.Detailf("job %d (%s) complete: work=%.1f evictions=%d wait=%v runtime=%v",
-			j.job.ID, j.job.Name, j.work, j.evictions, j.startedAt-j.queuedAt, j.finished-j.startedAt).End()
-		j.span = nil
-	}
-	// The finishing job's leases return to the pool as already-paid
-	// capacity; rebalance hands them to whoever can harvest them.
-	ids := s.borrowAllocIDs()
-	for _, id := range ids {
-		ba := s.allocs[id]
-		if ba != nil && ba.holder == j {
-			s.release(ba)
-		}
-	}
-	s.returnAllocIDs(ids)
-	s.admit()
-	s.rebalance("completion")
-}
-
-// --- work integration (per job) ------------------------------------
-
-// accrueJob integrates work up to now, honoring pauses.
-func (s *Scheduler) accrueJob(j *jobRun) {
-	now := s.eng.Now()
-	from := j.lastAccrue
-	if from < j.pausedTo {
-		from = j.pausedTo
-		if from > now {
-			from = now
-		}
-	}
-	if now > from {
-		j.work += j.rate * (now - from).Hours()
-	}
-	j.lastAccrue = now
-}
-
-func (s *Scheduler) recomputeRate(j *jobRun) {
-	s.accrueJob(j)
-	p := j.job.Spec.Params
-	j.rate = p.Phi * float64(j.leasedCores) * p.NuPerCore
-	s.scheduleCompletion(j)
-}
-
-func (s *Scheduler) pauseJob(j *jobRun, d time.Duration) {
-	s.accrueJob(j)
-	until := s.eng.Now() + d
-	if until > j.pausedTo {
-		j.pausedTo = until
-	}
-	s.scheduleCompletion(j)
-}
-
-func (s *Scheduler) scheduleCompletion(j *jobRun) {
-	if j.completion != nil {
-		j.completion.Cancel()
-		j.completion = nil
-	}
-	if j.state != Running || j.rate <= 0 {
-		return
-	}
-	remaining := j.job.Spec.TargetWork - j.work
-	if remaining <= 0 {
-		s.onJobDone(j)
-		return
-	}
-	start := s.eng.Now()
-	if j.pausedTo > start {
-		start = j.pausedTo
-	}
-	at := start + time.Duration(remaining/j.rate*float64(time.Hour))
-	j.completion = s.eng.At(at, "sched.complete", func() { s.onJobDone(j) })
-}
-
-// --- footprint broker ----------------------------------------------
-
-// addAlloc registers a fresh acquisition with the broker. Market IDs are
-// monotonic, so appending keeps allocOrder sorted.
-func (s *Scheduler) addAlloc(ba *brokerAlloc) {
-	s.allocs[ba.alloc.ID] = ba
-	s.allocOrder = append(s.allocOrder, ba.alloc.ID)
-}
-
-// removeAlloc drops an allocation from the broker's books.
-func (s *Scheduler) removeAlloc(id market.AllocationID) {
-	delete(s.allocs, id)
-	for i, v := range s.allocOrder {
-		if v == id {
-			s.allocOrder = append(s.allocOrder[:i], s.allocOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// sortedAllocIDs returns the broker's allocations in ascending ID order.
-// A copy, because several callers delete allocations mid-walk (and those
-// walks nest: rebalance → grant → recomputeRate → onJobDone starts its
-// own walk).
-func (s *Scheduler) sortedAllocIDs() []market.AllocationID {
-	return append([]market.AllocationID(nil), s.allocOrder...)
-}
-
-// outOfPool reports allocations excluded from the schedulable footprint:
-// warned ones (lease released, alive only for the refund) and
-// pre-drained ones (parked by the forecaster awaiting the predicted
-// eviction).
-func (b *brokerAlloc) outOfPool() bool { return b.warned || b.predrained }
-
-// spotCores counts leased-or-idle transient cores still in the pool.
-func (s *Scheduler) spotCores() int {
-	total := 0
-	for _, ba := range s.allocs {
-		if !ba.outOfPool() {
-			total += ba.cores()
-		}
-	}
-	return total
-}
-
-// totalDemand is the gross transient-core demand of running jobs,
-// bounded by the global cap.
-func (s *Scheduler) totalDemand() int {
-	demand := 0
-	for _, j := range s.running {
-		demand += j.job.Spec.MaxSpotCores
-	}
-	if demand > s.cfg.MaxSpotCores {
-		demand = s.cfg.MaxSpotCores
-	}
-	return demand
-}
-
-// footprint translates the broker's live allocations into BidBrain
-// state, excluding one allocation (for its own renewal decision) and all
-// warned or pre-drained allocations (their leases are already released;
-// they exist only to collect refunds).
-//
-// The returned slice is pooled: callers hand it back with returnFoot
-// (on the error path too) once the brain is done reading it.
-func (s *Scheduler) footprint(exclude market.AllocationID) ([]bidbrain.AllocState, error) {
-	now := s.eng.Now()
-	out := append(s.borrowFoot(), bidbrain.AllocState{
-		Type:      s.reliable.Type,
-		Count:     s.reliable.Count,
-		Price:     s.reliable.Type.OnDemand,
-		Remaining: s.reliable.HourEnd(now) - now,
-		OnDemand:  true,
-	})
-	// Iterating allocOrder directly is safe here: Beta/Omega lookups are
-	// pure, so this walk never mutates the broker's books.
-	for _, id := range s.allocOrder {
-		ba := s.allocs[id]
-		if id == exclude || ba.outOfPool() {
-			continue
-		}
-		beta, err := s.cfg.Brain.Beta(ba.alloc.Type.Name, ba.bidDelta)
-		if err != nil {
-			return out, err
-		}
-		remaining := ba.alloc.HourEnd(now) - now
-		omega, err := s.cfg.Brain.ExpectedUsefulTime(ba.alloc.Type.Name, ba.bidDelta, remaining)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, bidbrain.AllocState{
-			Type:      ba.alloc.Type,
-			Count:     ba.alloc.Count,
-			Price:     ba.alloc.HourCharge() / float64(ba.alloc.Count),
-			Beta:      beta,
-			Remaining: remaining,
-			Omega:     omega,
-		})
-	}
-	return out, nil
-}
-
-// pollPrices refreshes the reusable spot-price map through the market's
-// per-type change subscription: only types whose price moved since the
-// last poll are re-read, and an unmoved type's cached entry equals the
-// lookup it elides by construction — so every BidBrain search sees the
-// exact prices a full SpotPrice sweep would have produced. Catalog
-// types always resolve (the market refuses to build without a trace per
-// type), which is why this path carries no error return.
-func (s *Scheduler) pollPrices() map[string]float64 {
-	if s.priceSub == nil {
-		s.priceSub = s.mkt.SubscribePrices()
-		s.priceScratch = make(map[string]float64, s.priceSub.Len())
-	}
-	for _, i := range s.priceSub.Poll(s.eng.Now()) {
-		s.priceScratch[s.priceSub.Type(i).Name] = s.priceSub.Price(i)
-	}
-	return s.priceScratch
-}
-
-// decide runs one acquisition decision for the shared footprint. When a
-// running job's deadline is in jeopardy the deadline machinery picks the
-// candidate (cheapest that restores feasibility); otherwise the standard
-// cost-per-work objective does.
-//
-// parent, when non-nil, is the trace span of the job whose arrival (or
-// eviction) triggered this decision: the BidBrain search then runs in
-// audited mode and attaches its full decision audit — per-type candidate
-// bids, eviction probabilities, expected cost per work, the winner — as
-// a structured "bid" event in that job's causal tree. Ticker-driven
-// decisions pass nil and keep the allocation-free search.
-//
-// Returns whether an acquisition was made (the forecast tick counts
-// replacement acquisitions it triggered as pre-acquires).
-func (s *Scheduler) decide(parent *obs.Span) bool {
-	if s.draining {
-		return false
-	}
-	demand := s.totalDemand()
-	have := s.spotCores()
-	if have >= demand {
-		return false
-	}
-	cur, err := s.footprint(-1)
-	defer s.returnFoot(cur)
-	if err != nil {
-		return false
-	}
-	prices := s.pollPrices()
-	types := s.mkt.Types()
-	smallest := types[0]
-	for _, t := range types {
-		if t.VCPUs < smallest.VCPUs {
-			smallest = t
-		}
-	}
-	count := s.cfg.ChunkCores / smallest.VCPUs
-	if count <= 0 {
-		count = 1
-	}
-
-	var cand *bidbrain.Candidate
-	if goal, ok := s.urgentDeadline(); ok {
-		dc, err := s.cfg.Brain.DeadlineAcquisition(cur, goal, prices, types, count)
-		if err == nil && dc != nil {
-			cand = &dc.Candidate
-		}
-	}
-	if cand == nil {
-		var audit *bidbrain.DecisionAudit
-		switch {
-		case s.fc != nil && parent != nil:
-			cand, audit, err = s.cfg.Brain.BestAcquisitionForecastAudited(cur, prices, types, count, s.fc)
-		case s.fc != nil:
-			cand, err = s.cfg.Brain.BestAcquisitionForecast(cur, prices, types, count, s.fc)
-		case parent != nil:
-			cand, audit, err = s.cfg.Brain.BestAcquisitionAudited(cur, prices, types, count)
-		default:
-			cand, err = s.cfg.Brain.BestAcquisition(cur, prices, types, count)
-		}
-		if audit != nil {
-			parent.EventAttrs("bidbrain", "bid", audit, "decision: %s", audit.Result)
-		}
-		if err != nil || cand == nil {
-			return false
-		}
-	} else if parent != nil {
-		parent.Eventf("bidbrain", "bid", "deadline acquisition: %dx %s bid=$%.4f (beta %.3f)",
-			cand.Count, cand.Type.Name, cand.Bid, cand.Beta)
-	}
-	maxCount := (demand - have) / cand.Type.VCPUs
-	n := cand.Count
-	if n > maxCount {
-		n = maxCount
-	}
-	if n <= 0 {
-		return false
-	}
-	alloc, err := s.mkt.RequestSpot(cand.Type.Name, n, cand.Bid)
-	if err != nil {
-		return false
-	}
-	if parent != nil {
-		parent.Eventf("sched", "acquire", "alloc %d: %dx %s bid=$%.4f (delta $%.4f)",
-			alloc.ID, n, cand.Type.Name, cand.Bid, cand.BidDelta)
-	}
-	ba := &brokerAlloc{alloc: alloc, bidDelta: cand.BidDelta}
-	s.addAlloc(ba)
-	s.walTransition(wal.Record{Kind: wal.KindAcquire, JobID: -1, Alloc: int(alloc.ID),
-		Cores: ba.cores(), Amount: cand.Bid, Detail: cand.Type.Name})
-	s.scheduleHourEnd(ba)
-	s.rebalance("acquire")
-	return true
-}
-
-// urgentDeadline finds the running deadline job in most jeopardy and
-// phrases it as a bidbrain goal.
-func (s *Scheduler) urgentDeadline() (bidbrain.DeadlineGoal, bool) {
-	var best *jobRun
-	for _, j := range s.running {
-		if j.job.Deadline == 0 {
-			continue
-		}
-		if best == nil || j.job.Deadline < best.job.Deadline {
-			best = j
-		}
-	}
-	if best == nil {
-		return bidbrain.DeadlineGoal{}, false
-	}
-	s.accrueJob(best)
-	remaining := best.job.Spec.TargetWork - best.work
-	left := s.startAt + best.job.Deadline - s.eng.Now()
-	if remaining <= 0 || left <= 0 {
-		return bidbrain.DeadlineGoal{}, false
-	}
-	return bidbrain.DeadlineGoal{RemainingWork: remaining, Deadline: left}, true
-}
-
-// scheduleHourEnd arms the pre-hour-end renew/terminate decision (§4.2).
-// Warned allocations are left alone — terminating them would forfeit the
-// refund arriving with the eviction. Draining or surplus capacity
-// terminates before the next hour is charged.
-func (s *Scheduler) scheduleHourEnd(ba *brokerAlloc) {
-	now := s.eng.Now()
-	at := ba.alloc.HourEnd(now) - preHourLead
-	if at <= now {
-		at = ba.alloc.HourEnd(now) + trace.BillingHour - preHourLead
-	}
-	s.eng.AtTransient(at, "sched.hourEnd", func() {
-		cur, ok := s.allocs[ba.alloc.ID]
-		if !ok || cur != ba {
-			return
-		}
-		if ba.warned {
-			return
-		}
-		if ba.predrained {
-			// The predicted eviction never arrived before the hour-end
-			// decision: settle the drain as a miss and hand the machines
-			// back to the renewal logic below.
-			s.resolvePredrain(ba, false)
-			ba.predrained = false
-		}
-		if s.draining {
-			s.terminate(ba)
-			return
-		}
-		if s.spotCores()-ba.cores() >= s.totalDemand() {
-			s.terminate(ba)
-			s.rebalance("shrink")
-			return
-		}
-		rest, err := s.footprint(ba.alloc.ID)
-		defer s.returnFoot(rest)
-		if err != nil {
-			return
-		}
-		price, err := s.mkt.SpotPrice(ba.alloc.Type.Name)
-		if err != nil {
-			return
-		}
-		beta, _ := s.cfg.Brain.Beta(ba.alloc.Type.Name, ba.bidDelta)
-		state := bidbrain.AllocState{
-			Type:      ba.alloc.Type,
-			Count:     ba.alloc.Count,
-			Price:     price,
-			Beta:      beta,
-			Remaining: trace.BillingHour,
-		}
-		if price > ba.alloc.Bid || !s.cfg.Brain.ShouldRenew(rest, state, price) {
-			s.terminate(ba)
-			s.rebalance("renewal")
-			return
-		}
-		s.scheduleHourEnd(ba)
-	})
-}
-
-func (s *Scheduler) terminate(ba *brokerAlloc) {
-	s.release(ba)
-	s.removeAlloc(ba.alloc.ID)
-	_ = s.mkt.Terminate(ba.alloc)
-}
-
-// release reclaims the allocation's lease, returning it to the idle
-// pool. The (former) holder's rate drops and its hooks shrink.
-func (s *Scheduler) release(ba *brokerAlloc) {
-	j := ba.holder
-	if j == nil {
-		return
-	}
-	now := s.eng.Now()
-	held := now - ba.leaseStart
-	s.obs().Reg().Histogram("proteus_sched_lease_seconds",
-		"duration of one allocation lease to one job",
-		[]float64{60, 300, 900, 1800, 3600, 7200, 14400, 43200}).ObserveEx(held.Seconds(), j.traceID)
-	if ba.leaseSpan != nil {
-		ba.leaseSpan.Detailf("alloc %d: %d cores held %v", ba.alloc.ID, ba.cores(), held).End()
-		ba.leaseSpan = nil
-	}
-	j.coreSeconds += held.Seconds() * float64(ba.cores())
-	j.leasedCores -= ba.cores()
-	ba.lastHolder = j
-	ba.holder = nil
-	s.walTransition(wal.Record{Kind: wal.KindRelease, JobID: j.job.ID, Alloc: int(ba.alloc.ID), Cores: ba.cores()})
-	s.recomputeRate(j)
-	if j.hooks != nil {
-		var err error
-		if pd, ok := j.hooks.(ProactiveDrainer); ok && ba.predrained {
-			// Forecast-initiated drain: flush in-flight state first, then
-			// walk the same §3.3 eviction path a warning would have taken
-			// — with the whole lead time instead of the 2-minute window.
-			err = pd.PreDrain(ba.cores())
-		} else {
-			err = j.hooks.Shrink(ba.cores())
-		}
-		if err != nil {
-			s.fail(fmt.Errorf("sched: job %d shrink hook: %w", j.job.ID, err))
-		}
-	}
-}
-
-// grant leases the allocation to the job. A first-ever lease pays the
-// job's σ incorporation pause; transfers of warm machines do not.
-func (s *Scheduler) grant(ba *brokerAlloc, j *jobRun) {
-	ba.holder = j
-	ba.leaseStart = s.eng.Now()
-	s.walTransition(wal.Record{Kind: wal.KindLease, JobID: j.job.ID, Alloc: int(ba.alloc.ID), Cores: ba.cores()})
-	ba.leaseSpan = j.span.Child("sched", "lease").
-		Detailf("alloc %d: %dx %s = %d cores", ba.alloc.ID, ba.alloc.Count, ba.alloc.Type.Name, ba.cores())
-	j.leasedCores += ba.cores()
-	if !j.everRan && j.state == Running {
-		j.everRan = true
-		s.emitJob(EventRunning, j, fmt.Sprintf("first lease: %d cores", ba.cores()))
-	}
-	if !ba.everLeased {
-		ba.everLeased = true
-		s.pauseJob(j, j.job.Spec.Params.Sigma)
-	}
-	s.recomputeRate(j)
-	if j.hooks != nil {
-		if err := j.hooks.Grow(ba.cores()); err != nil {
-			s.fail(fmt.Errorf("sched: job %d grow hook: %w", j.job.ID, err))
-		}
-	}
-}
-
-// rebalance re-divides the unwarned footprint among running jobs per the
-// placement policy. Current holders keep their leases when the new
-// shares allow, minimizing churn; counted (and recorded in the
-// utilization timeline) only when a lease actually moves.
-func (s *Scheduler) rebalance(cause string) {
-	if s.draining {
-		return
-	}
-	// Snapshot the running set: a grant can complete a job inline
-	// (recomputeRate → onJobDone), mutating s.running mid-iteration.
-	// The set is kept in s.jobs slot order, so the snapshot matches the
-	// scan of s.jobs this replaced, tie-breaks included.
-	runnable := s.borrowRunnable()
-	var reqs []ShareRequest
-	var shares []int
-	if len(runnable) > 0 {
-		reqs = s.borrowReqs()
-		for _, j := range runnable {
-			s.accrueJob(j)
-			reqs = append(reqs, ShareRequest{
-				ID:            j.job.ID,
-				Priority:      j.job.Priority,
-				Arrival:       j.job.Arrival,
-				Deadline:      j.job.Deadline,
-				MaxCores:      j.job.Spec.MaxSpotCores,
-				NeededCores:   s.neededCores(j),
-				RemainingWork: j.job.Spec.TargetWork - j.work,
-			})
-		}
-		shares = s.cfg.Policy.Shares(s.eng.Now()-s.startAt, reqs, s.spotCores())
-	}
-	s.applyShares(runnable, reqs, shares, cause)
-	if reqs != nil {
-		s.returnReqs(reqs)
-	}
-	s.returnRunnable(runnable)
-}
-
-// applyShares is rebalance's placement half: release/keep/grant leases
-// against the given share targets. Split out so the short-hold tick can
-// commit a target computed outside the lock without re-deriving it.
-func (s *Scheduler) applyShares(runnable []*jobRun, reqs []ShareRequest, shares []int, cause string) {
-	changed := false
-	if len(runnable) == 0 {
-		ids := s.borrowAllocIDs()
-		for _, id := range ids {
-			if s.allocs[id] != nil && s.allocs[id].holder != nil {
-				s.release(s.allocs[id])
-				changed = true
-			}
-		}
-		s.returnAllocIDs(ids)
-	} else {
-		target := s.borrowTarget()
-		for i, r := range reqs {
-			if i < len(shares) {
-				target[r.ID] = shares[i]
-			}
-		}
-		// Pass 1: keep holders whose share still covers their lease.
-		ids := s.borrowAllocIDs()
-		for _, id := range ids {
-			ba := s.allocs[id]
-			if ba == nil || ba.outOfPool() || ba.holder == nil {
-				continue
-			}
-			if ba.holder.state == Running && target[ba.holder.job.ID] >= ba.cores() {
-				target[ba.holder.job.ID] -= ba.cores()
-				continue
-			}
-			s.release(ba)
-			changed = true
-		}
-		s.returnAllocIDs(ids)
-		// Pass 2: hand idle allocations to the largest remaining share.
-		ids = s.borrowAllocIDs()
-		for _, id := range ids {
-			ba := s.allocs[id]
-			if ba == nil || ba.outOfPool() || ba.holder != nil {
-				continue
-			}
-			var pick *jobRun
-			best := 0
-			for _, j := range runnable {
-				if t := target[j.job.ID]; t > best {
-					best, pick = t, j
-				}
-			}
-			if pick == nil {
-				continue
-			}
-			target[pick.job.ID] -= ba.cores()
-			s.grant(ba, pick)
-			changed = true
-		}
-		s.returnAllocIDs(ids)
-		s.returnTarget(target)
-	}
-	if changed {
-		s.rebalances++
-		s.obs().Reg().Counter("proteus_sched_rebalances_total",
-			"lease reassignments between jobs", obs.L("cause", cause)).Inc()
-	}
-	s.observeState(changed)
-}
-
-// neededCores is the sustained core count that finishes the job exactly
-// at its deadline — the deadline-first policy's reservation.
-func (s *Scheduler) neededCores(j *jobRun) int {
-	if j.job.Deadline == 0 {
-		return 0
-	}
-	left := (s.startAt + j.job.Deadline - s.eng.Now()).Hours()
-	if left <= 0 {
-		return j.job.Spec.MaxSpotCores
-	}
-	p := j.job.Spec.Params
-	perCore := p.Phi * p.NuPerCore
-	if perCore <= 0 {
-		return j.job.Spec.MaxSpotCores
-	}
-	need := int((j.job.Spec.TargetWork-j.work)/(left*perCore)) + 1
-	if need > j.job.Spec.MaxSpotCores {
-		need = j.job.Spec.MaxSpotCores
-	}
-	if need < 0 {
-		need = 0
-	}
-	return need
-}
-
-// --- market.Handler -------------------------------------------------
-
-// EvictionWarning implements market.Handler: the broker reclaims the
-// lease immediately — the holder's elasticity controller drains within
-// the warning window (§3.3) — while the allocation itself stays alive to
-// collect the eviction refund.
-func (s *Scheduler) EvictionWarning(a *market.Allocation, _ time.Duration) {
-	ba, ok := s.allocs[a.ID]
-	if !ok {
-		return
-	}
-	ba.warned = true
-	ba.warnedAt = s.eng.Now()
-	if ba.predrained {
-		// The forecaster called it: state was drained before the warning
-		// even arrived. Record the hit and how much lead it bought.
-		s.resolvePredrain(ba, true)
-	}
-	holderID := -1
-	if j := ba.holder; j != nil {
-		holderID = j.job.ID
-		if j.span != nil {
-			j.span.Eventf("sched", "eviction-warning",
-				"alloc %d (%d cores): lease reclaimed, draining within warning window", a.ID, ba.cores())
-		}
-	}
-	s.walTransition(wal.Record{Kind: wal.KindWarning, JobID: holderID, Alloc: int(a.ID), Cores: ba.cores()})
-	s.release(ba)
-	if !s.draining {
-		s.rebalance("warning")
-	}
-}
-
-// Evicted implements market.Handler: the machines are gone; the former
-// holder pays the λ disruption and the broker reconsiders the market.
-func (s *Scheduler) Evicted(a *market.Allocation) {
-	ba, ok := s.allocs[a.ID]
-	if !ok {
-		return
-	}
-	s.release(ba) // zero-warning markets evict without a prior warning
-	s.removeAlloc(a.ID)
-	if ba.predrained {
-		s.resolvePredrain(ba, true) // eviction with no prior warning still validates the drain
-	}
-	s.walTransition(wal.Record{Kind: wal.KindEvict, JobID: -1, Alloc: int(a.ID), Cores: ba.cores()})
-	var parent *obs.Span
-	if j := ba.lastHolder; j != nil {
-		// The in-progress hour's charge comes back on eviction (§2.2 "free
-		// compute"); record it in the causal tree of the job that paid it.
-		s.walTransition(wal.Record{Kind: wal.KindRefund, JobID: j.job.ID, Alloc: int(a.ID), Amount: a.HourCharge()})
-		if j.span != nil {
-			j.span.Eventf("sched", "refund",
-				"alloc %d evicted: $%.4f refunded for the in-progress hour", a.ID, a.HourCharge())
-		}
-		if j.state == Running {
-			j.evictions++
-			if ba.predrained {
-				// The λ disruption is the cost of reacting to the warning;
-				// a pre-drained job already moved its state off these
-				// machines with the whole forecast lead to do it.
-				parent = j.span
-			} else {
-				s.pauseJob(j, j.job.Spec.Params.Lambda)
-				parent = j.span
-			}
-		}
-	}
-	if !s.draining {
-		s.decide(parent)
-		s.rebalance("eviction")
-	}
 }
 
 // --- instrumentation ------------------------------------------------

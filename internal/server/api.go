@@ -97,9 +97,9 @@ type Stats struct {
 	SpansDropped  uint64 `json:"spans_dropped"`
 
 	// Recovery provenance: set when the scheduler was rebuilt from a
-	// write-ahead log. CatchingUp is true while the serve loop is still
-	// fast-forwarding through the recovered history (submissions are
-	// accepted throughout).
+	// write-ahead log. CatchingUp is true from recovery until the serve
+	// loop has fast-forwarded through the recovered history or every
+	// job is terminal (submissions are accepted throughout).
 	Recovered     bool `json:"recovered,omitempty"`
 	RecoveredJobs int  `json:"recovered_jobs,omitempty"`
 	CatchingUp    bool `json:"catching_up,omitempty"`

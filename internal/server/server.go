@@ -409,6 +409,10 @@ func newSSE(w http.ResponseWriter) (*sseWriter, bool) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	// Flush the header now: a client attaching before anything happens
+	// (a job not yet submitted) must learn it is attached without waiting
+	// for the first frame or heartbeat.
+	f.Flush()
 	s := &sseWriter{w: w, f: f}
 	s.enc = json.NewEncoder(&s.buf)
 	return s, true

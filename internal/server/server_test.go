@@ -456,3 +456,41 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("drop counters events=%d spans=%d, want 0", stats.EventsDropped, stats.SpansDropped)
 	}
 }
+
+// TestSSEAttachFlushesHeaders: attaching to the event stream of a job
+// nobody has submitted yet must return the response headers at once — not
+// with the first frame, which may be a heartbeat interval away — so a
+// client knows it is attached before it submits.
+func TestSSEAttachFlushesHeaders(t *testing.T) {
+	eng, mkt, brain := testHarness(t, 97)
+	sc, err := sched.New(eng, mkt, testConfig(brain, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Scheduler: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Well under the heartbeat: without the flush the request times out
+	// waiting for headers.
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	for _, path := range []string{"/v1/jobs/0/events", "/v1/timeline"} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: headers never arrived: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
+			t.Errorf("%s: status %d content-type %q", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		resp.Body.Close()
+	}
+}

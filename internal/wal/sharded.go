@@ -44,9 +44,7 @@ func shardDirName(k int) string {
 
 // ShardFor routes a job ID to a shard in [0, n): job-less records
 // (negative IDs) pin to shard 0; real jobs hash through a SplitMix64
-// finalizer so tenants spread evenly regardless of ID patterns. The
-// scheduler uses the same mapping for its decision shards, keeping a
-// job's WAL stream and decision shard aligned.
+// finalizer so tenants spread evenly regardless of ID patterns.
 func ShardFor(jobID, n int) int {
 	if n <= 1 || jobID < 0 {
 		return 0

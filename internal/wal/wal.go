@@ -106,9 +106,6 @@ type Meta struct {
 	// enabled; proactive pre-drains change lease history, so replay must
 	// run with the same forecaster (default options) to be identical.
 	Forecast bool `json:"forecast,omitempty"`
-	// Shards records the scheduler's decision-shard count. Provenance
-	// only: the sharded decision loop is bit-identical at every count.
-	Shards int `json:"shards,omitempty"`
 	// WALShards records the log's own segment-stream fan-out, for
 	// operator provenance (the on-disk layout is self-describing).
 	WALShards int `json:"wal_shards,omitempty"`
