@@ -2,6 +2,9 @@ package sched
 
 import (
 	"container/heap"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -108,61 +111,49 @@ func TestSubmitWhileTicking(t *testing.T) {
 	}
 }
 
-// TestShardedWALCrashRecovery is the sharded durability acceptance test:
-// a scheduler logging to a sharded WAL, recovered via the merged
-// multi-stream replay, must reproduce the uninterrupted run's bills and
-// trace trees byte-identically.
+// TestShardedWALCrashRecovery is the durability acceptance test for the
+// sharded on-disk layout: internal/wal's sharded-3 fixture is the log a
+// real run left behind when it died after its 500th record (one shard's
+// tail torn). Recovered through the merged multi-stream replay and
+// resumed with the reopened log attached, it must reproduce an
+// uninterrupted run of the same jobs byte for byte, bills and trace trees.
 func TestShardedWALCrashRecovery(t *testing.T) {
-	const seed = 79
-	f := newRecoveryFixture(t, seed)
-	jobs := crashJobs()
-	want := f.batchFingerprint(t, jobs)
-
 	walDir := t.TempDir()
-	log, err := wal.CreateSharded(walDir, wal.Meta{Seed: seed, Note: "shard-crash-test"},
-		3, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, mkt := f.env(t)
-	cfg := f.config(eng)
-	cfg.WAL = log
-	s, err := New(eng, mkt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
+	src := filepath.Join("..", "wal", "testdata", "sharded-3")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	lastSeq := log.LastSeq()
-	if st := log.Stats(); st.Shards != 3 || st.Submits != len(jobs) {
-		t.Fatalf("sharded wal stats = %+v", st)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Crash" and recover: merge the three streams, rebuild the
-	// environment, replay, and drive to completion with the reopened log
-	// attached live.
-	log2, replay, err := wal.OpenSharded(walDir, wal.Options{NoSync: true})
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(walDir, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(walDir, rel), raw, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay.LastSeq < lastSeq {
-		t.Fatalf("merged replay LastSeq %d < %d written", replay.LastSeq, lastSeq)
+	log, replay, err := wal.OpenSharded(walDir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(replay.Jobs) != len(jobs) {
-		t.Fatalf("recovered %d jobs, want %d", len(replay.Jobs), len(jobs))
+	if len(replay.Jobs) != 20 || replay.LastVirtual <= 0 || !replay.TornDropped {
+		t.Fatalf("fixture restored %d jobs at %v (torn %v)", len(replay.Jobs), replay.LastVirtual, replay.TornDropped)
 	}
-	eng2, mkt2 := f.env(t)
-	cfg2 := f.config(eng2)
-	rs, err := Recover(eng2, mkt2, cfg2, replay, log2)
+	jobs := make([]Job, len(replay.Jobs))
+	for i, jr := range replay.Jobs {
+		jobs[i] = JobFromRecord(jr)
+	}
+	_, _, want := goldenRun(t, jobs, nil)
+
+	f := newRecoveryFixture(t, replay.Meta.Seed)
+	eng, mkt := f.env(t)
+	cfg := goldenConfig(f.config(eng), nil)
+	rs, err := Recover(eng, mkt, cfg, replay, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +167,10 @@ func TestShardedWALCrashRecovery(t *testing.T) {
 	if st := rs.Stats(); !st.Recovered || st.RecoveredJobs != len(jobs) {
 		t.Fatalf("recovered stats = %+v", st)
 	}
-	if got := fingerprint(t, res, cfg2.Observer); got != want {
+	if got := fingerprint(t, res, cfg.Observer); got != want {
 		t.Fatal("recovered sharded run diverges from uninterrupted run")
 	}
-	if err := log2.Close(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
