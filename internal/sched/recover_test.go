@@ -624,3 +624,86 @@ func TestCatchingUpSpansRecoverToCaughtUp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLiveNowArrivalsReplayIdentically pins the durability contract for
+// the commonest live submission: "start now". Such a request's arrival
+// offset is already in the virtual past once the engine has moved, so
+// Submit moves it forward and logs the effective value. Replay schedules
+// every arrival before the first event fires, the live service schedules
+// it after the event the engine last fired, so the logged instant must
+// not tie with that event or the two lives order the tie differently and
+// bill differently.
+func TestLiveNowArrivalsReplayIdentically(t *testing.T) {
+	const seed = 79
+	f := newRecoveryFixture(t, seed)
+	walDir := t.TempDir()
+	log, err := wal.Create(walDir, wal.Meta{Seed: seed}, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, mkt := f.env(t)
+	cfg := f.config(eng)
+	cfg.WAL = log
+	s, err := New(eng, mkt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resCh := make(chan *Result, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		res, err := s.Serve(ctx, ServeConfig{Speedup: 36000}) // 10 virtual hours per wall second
+		resCh <- res
+		errCh <- err
+	}()
+	// Each tenant asks to start now (offset 0), a few virtual minutes
+	// after the one before it: the engine has moved on every time, and
+	// several tenants overlap.
+	const tenants = 24
+	for id := 0; id < tenants; id++ {
+		if err := s.Submit(Job{ID: id, Name: "now", Spec: smallSpec(), Priority: id % 3}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for id := 0; id < tenants; id++ {
+		waitState(t, s, id, Done)
+	}
+	cancel()
+	live := <-resCh
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log2, replay, err := wal.Open(walDir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	moved := 0
+	for _, jr := range replay.Jobs {
+		if jr.ArrivalNs > 0 {
+			moved++
+		}
+	}
+	if moved < 20 {
+		t.Fatalf("only %d of %d arrivals were moved forward; the test needs at least 20", moved, tenants)
+	}
+	eng2, mkt2 := f.env(t)
+	rs, err := Recover(eng2, mkt2, f.config(eng2), replay, log2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := rs.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultJSON(t, replayed) != resultJSON(t, live) {
+		t.Errorf("replaying the live service's WAL diverges from its bill: %d rebalances and $%.4f live, %d and $%.4f replayed",
+			live.Rebalances, live.TotalCost, replayed.Rebalances, replayed.TotalCost)
+	}
+}

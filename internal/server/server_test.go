@@ -1,11 +1,13 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -492,5 +494,100 @@ func TestSSEAttachFlushesHeaders(t *testing.T) {
 			t.Errorf("%s: status %d content-type %q", path, resp.StatusCode, resp.Header.Get("Content-Type"))
 		}
 		resp.Body.Close()
+	}
+}
+
+// gatedWriter is a streaming ResponseWriter whose first Flush — the SSE
+// header flush, the moment a client learns it is attached — blocks until
+// the test lets it go.
+type gatedWriter struct {
+	hdr      http.Header
+	mu       sync.Mutex
+	body     bytes.Buffer
+	once     sync.Once
+	attached chan struct{} // closed when the first Flush begins
+	release  chan struct{} // the first Flush returns once this closes
+}
+
+func (w *gatedWriter) Header() http.Header { return w.hdr }
+func (w *gatedWriter) WriteHeader(int)     {}
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+func (w *gatedWriter) Flush() {
+	w.once.Do(func() {
+		close(w.attached)
+		<-w.release
+	})
+}
+
+// TestSSEAttachThenSubmitKeepsLifecycle: the documented way to watch a
+// job is to attach to its event stream first and submit once the
+// response headers arrive. The unpaced engine can finish the job before
+// the handler runs another line, so the handler must have decided what to
+// send before the headers go out: here the whole lifecycle happens inside
+// the header flush, and all four events must still be delivered.
+func TestSSEAttachThenSubmitKeepsLifecycle(t *testing.T) {
+	eng, mkt, brain := testHarness(t, 97)
+	sc, err := sched.New(eng, mkt, testConfig(brain, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Scheduler: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		_, err := sc.Serve(ctx, sched.ServeConfig{}) // unpaced
+		served <- err
+	}()
+
+	w := &gatedWriter{hdr: http.Header{}, attached: make(chan struct{}), release: make(chan struct{})}
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/0/events", nil))
+	}()
+	<-w.attached
+	jobs, err := jobspec.Jobs(testEntries()[:1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Submit(jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, ok := sc.Status(0); ok && st.State == sched.Done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job 0 never finished")
+		}
+	}
+	close(w.release)
+	select {
+	case <-handled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the stream did not end with the job's terminal event")
+	}
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+
+	var kinds []string
+	for _, line := range strings.Split(w.body.String(), "\n") {
+		if kind, ok := strings.CutPrefix(line, "event: "); ok {
+			kinds = append(kinds, kind)
+		}
+	}
+	if want := "queued,admitted,running,done"; strings.Join(kinds, ",") != want {
+		t.Fatalf("SSE kinds %v, want %s", kinds, want)
 	}
 }
