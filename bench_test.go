@@ -392,63 +392,6 @@ func BenchmarkRecovery(b *testing.B) {
 	b.ReportMetric(float64(len(replay.Jobs)), "jobs")
 }
 
-// BenchmarkRecoverySharded times wal.RecoverSharded over a 4-shard log
-// with the same record mix as BenchmarkRecovery (256 submissions, ~4k
-// transitions, spread across shards by job). Shards recover
-// concurrently and each shard's frames decode in parallel, so this
-// tracks the restart budget of the sharded control plane — the
-// deployment shape -wal-shards selects.
-func BenchmarkRecoverySharded(b *testing.B) {
-	dir := b.TempDir()
-	const shards = 4
-	s, err := wal.CreateSharded(dir, wal.Meta{Seed: 1, Policy: "fair"}, shards, wal.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := bidbrain.DefaultParams()
-	spec := core.JobSpec{
-		TargetWork:    params.Phi * 256,
-		Params:        params,
-		ReliableType:  "c4.xlarge",
-		ReliableCount: 3,
-		MaxSpotCores:  512,
-		ChunkCores:    128,
-	}
-	for i := 0; i < 256; i++ {
-		_, err := s.Append(wal.Record{
-			Kind:  wal.KindSubmit,
-			JobID: i,
-			Job:   &wal.JobRecord{ID: i, Name: "tenant", ArrivalNs: int64(i) * 1e9, Spec: spec},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 4096; i++ {
-		rec := wal.Record{Kind: wal.KindTick, AtNs: int64(i) * 1e8, JobID: -1}
-		if i%2 == 1 {
-			rec = wal.Record{Kind: wal.KindLease, AtNs: int64(i) * 1e8, JobID: i % 256, Alloc: i, Cores: 128}
-		}
-		if _, err := s.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var replay *wal.Replay
-	for i := 0; i < b.N; i++ {
-		replay, err = wal.RecoverSharded(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(replay.Records), "records")
-	b.ReportMetric(float64(len(replay.Jobs)), "jobs")
-}
-
 // BenchmarkMarketPricePoll times one decision tick's price work under
 // the per-type event sharding: a PriceSub sweep that reports only the
 // types whose price moved since the last tick, cached prices serving

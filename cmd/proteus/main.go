@@ -71,8 +71,6 @@ func main() {
 	speedup := flag.Float64("speedup", 60, "with -serve, virtual seconds per wall second while jobs run (0 = as fast as possible)")
 	walDir := flag.String("wal-dir", "", "with -serve, append every submission and state transition to a write-ahead log in this directory; a directory already holding a log is recovered (crash restart) instead of started fresh")
 	walSegMB := flag.Int("wal-segment-mb", 4, "with -wal-dir, segment size in MiB before snapshot+compaction")
-	walShards := flag.Int("wal-shards", 1, "with -wal-dir, fan the log out into N per-shard segment streams (parallel fsync, seq-merged recovery); applies only when creating a fresh log — an existing directory keeps its layout")
-	walRecoverWorkers := flag.Int("wal-recover-workers", 0, "with -wal-dir, parallel frame-decode workers while recovering an existing log; replay is bit-identical at every setting (0 = all cores, 1 = serial)")
 	maxQueue := flag.Int("max-queue", 0, "with -serve, cap on jobs waiting for admission; submissions beyond it get 429 + Retry-After (0 = unbounded)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "with -serve, cap on simultaneously running jobs (0 = unbounded)")
 	traceLimit := flag.Int("trace-limit", 0, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it (0 = keep all)")
@@ -125,16 +123,14 @@ func main() {
 
 	if *serve {
 		so := serveOptions{
-			addr:              *addr,
-			speedup:           *speedup,
-			walDir:            *walDir,
-			walSegmentMB:      *walSegMB,
-			walShards:         *walShards,
-			walRecoverWorkers: *walRecoverWorkers,
-			maxQueue:          *maxQueue,
-			maxConcurrent:     *maxConcurrent,
-			traceLimit:        *traceLimit,
-			forecast:          *serveForecast,
+			addr:          *addr,
+			speedup:       *speedup,
+			walDir:        *walDir,
+			walSegmentMB:  *walSegMB,
+			maxQueue:      *maxQueue,
+			maxConcurrent: *maxConcurrent,
+			traceLimit:    *traceLimit,
+			forecast:      *serveForecast,
 		}
 		if err := runServe(ctx, cfg, o, *policy, so); err != nil {
 			log.Fatal(err)

@@ -28,14 +28,6 @@ type serveOptions struct {
 	walDir string
 	// walSegmentMB sizes log segments before snapshot+compaction.
 	walSegmentMB int
-	// walShards fans the log out into N per-shard segment streams that
-	// fsync in parallel; recovery merges them by sequence number. 0 or 1
-	// keeps the flat single-stream layout.
-	walShards int
-	// walRecoverWorkers caps the parallel frame-decode workers recovery
-	// uses (0 = GOMAXPROCS, 1 = serial). The replay is bit-identical at
-	// every setting; this only trades restart latency against CPU.
-	walRecoverWorkers int
 	// maxQueue caps the admission backlog (429 beyond it); 0 unbounded.
 	maxQueue int
 	// maxConcurrent caps simultaneously running jobs; 0 unbounded.
@@ -53,20 +45,10 @@ type serveOptions struct {
 // recovery the returned replay carries the crashed run's inputs and the
 // logged Meta, which the caller must use in place of its own flags —
 // bit-identical replay needs the original environment.
-// The directory layout decides the open path — a log created sharded
-// recovers sharded regardless of the current flags — and -wal-shards
-// decides the layout only for a fresh directory.
 func openWAL(o serveOptions, meta wal.Meta) (wal.Writer, *wal.Replay, error) {
-	opts := wal.Options{SegmentBytes: o.walSegmentMB << 20, RecoverWorkers: o.walRecoverWorkers}
-	if wal.IsSharded(o.walDir) {
-		return wal.OpenSharded(o.walDir, opts)
-	}
+	opts := wal.Options{SegmentBytes: o.walSegmentMB << 20}
 	if wal.Exists(o.walDir) {
 		return wal.Open(o.walDir, opts)
-	}
-	if o.walShards > 1 {
-		l, err := wal.CreateSharded(o.walDir, meta, o.walShards, opts)
-		return l, nil, err
 	}
 	l, err := wal.Create(o.walDir, meta, opts)
 	return l, nil, err
@@ -107,7 +89,6 @@ func runServe(ctx context.Context, cfg experiments.MarketConfig, o *obs.Observer
 			Policy:        policy.Name(),
 			MaxConcurrent: so.maxConcurrent,
 			Forecast:      so.forecast,
-			WALShards:     so.walShards,
 		})
 		if err != nil {
 			return err

@@ -2,9 +2,6 @@ package sched
 
 import (
 	"container/heap"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -112,32 +109,14 @@ func TestSubmitWhileTicking(t *testing.T) {
 }
 
 // TestShardedWALCrashRecovery is the durability acceptance test for the
-// sharded on-disk layout: internal/wal's sharded-3 fixture is the log a
-// real run left behind when it died after its 500th record (one shard's
-// tail torn). Recovered through the merged multi-stream replay and
-// resumed with the reopened log attached, it must reproduce an
-// uninterrupted run of the same jobs byte for byte, bills and trace trees.
+// retired sharded on-disk layout: internal/wal's sharded-3 fixture is the
+// log a real run left behind when it died after its 500th record (one
+// shard's tail torn). Its merged replay, resumed, must reproduce an
+// uninterrupted run of the same jobs byte for byte, bills and trace
+// trees. (internal/wal's own tests cover opening such a directory for
+// writes, which makes it flat.)
 func TestShardedWALCrashRecovery(t *testing.T) {
-	walDir := t.TempDir()
-	src := filepath.Join("..", "wal", "testdata", "sharded-3")
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(walDir, rel), 0o755)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(walDir, rel), raw, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, replay, err := wal.OpenSharded(walDir, wal.Options{NoSync: true})
+	replay, err := wal.Recover("../wal/testdata/sharded-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +132,7 @@ func TestShardedWALCrashRecovery(t *testing.T) {
 	f := newRecoveryFixture(t, replay.Meta.Seed)
 	eng, mkt := f.env(t)
 	cfg := goldenConfig(f.config(eng), nil)
-	rs, err := Recover(eng, mkt, cfg, replay, log)
+	rs, err := Recover(eng, mkt, cfg, replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +140,10 @@ func TestShardedWALCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
 	if st := rs.Stats(); !st.Recovered || st.RecoveredJobs != len(jobs) {
 		t.Fatalf("recovered stats = %+v", st)
 	}
 	if got := fingerprint(t, res, cfg.Observer); got != want {
 		t.Fatal("recovered sharded run diverges from uninterrupted run")
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // Submit registers a job. Before Run or Serve starts, submissions
 // simply join the batch. Once the scheduler is being driven, Submit is
 // safe to call from any goroutine: the job is injected into the live
-// timeline, its arrival clamped forward to the current virtual time if
-// the requested offset already passed. Submissions are rejected once
-// the scheduler is draining for shutdown or has finished.
+// timeline, its arrival moved forward to just past the current virtual
+// time if the requested offset already passed. Submissions are rejected
+// once the scheduler is draining for shutdown or has finished.
 func (s *Scheduler) Submit(job Job) error {
 	s.submitWaiters.Add(1)
 	s.mu.Lock()
@@ -49,9 +49,13 @@ func (s *Scheduler) Submit(job Job) error {
 		arriveAt = s.startAt + job.Arrival
 		if arriveAt < now {
 			// The requested offset is already in the virtual past; the job
-			// arrives now and its record reflects the effective arrival.
-			arriveAt = now
-			j.job.Arrival = now - s.startAt
+			// arrives at the next representable instant and its record
+			// reflects that. Not at now itself: now is the instant of the
+			// event the engine last fired, and this arrival fires after it,
+			// but a replay schedules every arrival before the first event
+			// and would fire it first.
+			arriveAt = now + 1
+			j.job.Arrival = arriveAt - s.startAt
 		}
 		j.lastAccrue = now
 	}

@@ -45,11 +45,10 @@ func JobFromRecord(r wal.JobRecord) Job {
 // pacing) reproduces the original run's bills, trace trees, and stats
 // bit-identically — recovery is replay-from-inputs, not state surgery.
 //
-// log, when non-nil, becomes the recovered scheduler's live WAL — flat
-// or sharded, anything satisfying wal.Writer: re-executed transitions up
-// to the replay's last virtual instant are suppressed (their records
-// already exist), new activity appends as usual. A nil log recovers
-// read-only (tests, offline audits).
+// log, when non-nil, becomes the recovered scheduler's live WAL:
+// re-executed transitions up to the replay's last virtual instant are
+// suppressed (their records already exist), new activity appends as
+// usual. A nil log recovers read-only (tests, offline audits).
 func Recover(eng *sim.Engine, mkt *market.Market, cfg Config, replay *wal.Replay, log wal.Writer) (*Scheduler, error) {
 	if replay == nil {
 		return nil, fmt.Errorf("sched: Recover needs a replay")

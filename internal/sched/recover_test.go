@@ -520,69 +520,6 @@ func TestServeRecoveryCatchesUp(t *testing.T) {
 	}
 }
 
-// TestRecoveryWorkerCountFingerprintsMatch extends the bit-identity
-// contract from the WAL layer into the scheduler: a replay decoded with
-// parallel workers must drive a recovered run to the exact same bills,
-// usage, timeline, and trace trees as one decoded serially. The WAL
-// package already pins Replay equality across worker counts; this test
-// guards the end-to-end path an operator actually takes.
-func TestRecoveryWorkerCountFingerprintsMatch(t *testing.T) {
-	const seed = 91
-	f := newRecoveryFixture(t, seed)
-	jobs := crashJobs()
-
-	walDir := t.TempDir()
-	// Small segments so the parallel decoder sees rotation + snapshot.
-	log, err := wal.Create(walDir, wal.Meta{Seed: seed}, wal.Options{NoSync: true, SegmentBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, mkt := f.env(t)
-	cfg := f.config(eng)
-	cfg.WAL = log
-	s, err := New(eng, mkt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var ref string
-	for _, w := range []int{1, 8} {
-		replay, err := wal.RecoverWith(walDir, wal.RecoverOptions{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		eng2, mkt2 := f.env(t)
-		cfg2 := f.config(eng2)
-		rs, err := Recover(eng2, mkt2, cfg2, replay, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rs.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp := fingerprint(t, res, cfg2.Observer)
-		if w == 1 {
-			ref = fp
-			continue
-		}
-		if fp != ref {
-			t.Errorf("workers=%d recovered run diverges from serial decode", w)
-		}
-	}
-}
-
 // TestCatchingUpSpansRecoverToCaughtUp pins the two instants the flag used
 // to get wrong: it must already read true between Recover and the start of
 // the drive loop (a client polling a freshly opened listener), and it must

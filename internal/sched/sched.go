@@ -199,7 +199,6 @@ type Config struct {
 	// WAL, when set, receives every accepted submission and state
 	// transition as a durable record. Submissions are logged before
 	// they mutate scheduler state; a failed append rejects the Submit.
-	// Both the flat *wal.Log and the sharded router satisfy Writer.
 	WAL wal.Writer
 	// Forecast, when set, runs a per-type online eviction forecaster over
 	// the observed price stream and enables proactive drain/pre-acquire

@@ -475,12 +475,17 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.hub.Detach(conn)
+	// Snapshot before the headers go out: a client that attaches first and
+	// submits when they arrive can see its job finish before this handler
+	// runs again, and a snapshot taken then would say "done" and end the
+	// stream with the whole lifecycle still queued on conn.
+	st, exists := s.sched.Status(id)
 	sse, ok := newSSE(w)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
 		return
 	}
-	if st, exists := s.sched.Status(id); exists {
+	if exists {
 		if sse.event("status", jobStatusWire(st)) != nil {
 			return
 		}

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,16 +82,9 @@ func copyFixture(t testing.TB, name string) string {
 	return dst
 }
 
-// openFixture opens dir with whichever opener its layout needs.
-func openFixture(t testing.TB, dir string) (Writer, *Replay) {
+// openFixture opens dir the way a restarting service does.
+func openFixture(t testing.TB, dir string) (*Log, *Replay) {
 	t.Helper()
-	if IsSharded(dir) {
-		s, rep, err := OpenSharded(dir, Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, rep
-	}
 	l, rep, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +96,6 @@ func openFixture(t testing.TB, dir string) (Writer, *Replay) {
 // rebuilt from — against the pin.
 func (p pinnedReplay) checkInputs(t *testing.T, rep *Replay) {
 	t.Helper()
-	rep.Meta.WALShards = 0 // provenance only; not part of the pin
 	if rep.Meta != p.meta {
 		t.Errorf("meta = %+v, want %+v", rep.Meta, p.meta)
 	}
@@ -126,26 +120,179 @@ func (p pinnedReplay) checkInputs(t *testing.T, rep *Replay) {
 	}
 }
 
+// checkFlat asserts dir holds the one layout: a snapshot, one active
+// segment, no shard directories.
+func checkFlat(t *testing.T, dir string) {
+	t.Helper()
+	if shards := shardDirs(dir); len(shards) != 0 {
+		t.Errorf("shard directories survive: %v", shards)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
+		t.Errorf("no flat snapshot: %v", err)
+	}
+	if names, _, err := listSegments(dir); err != nil || len(names) != 1 {
+		t.Errorf("segments = %v (%v), want exactly the active one", names, err)
+	}
+}
+
 func TestShardedFixtureRecovers(t *testing.T) {
 	dir := copyFixture(t, "sharded-3")
-	w, rep := openFixture(t, dir)
+	if !Exists(dir) {
+		t.Fatal("Exists = false: a service would create an empty log over this directory")
+	}
+	// Reading changes nothing on disk; opening migrates.
+	readOnly, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, rep := openFixture(t, dir)
+	if !reflect.DeepEqual(rep, readOnly) {
+		t.Errorf("Open and Recover disagree:\n open    %+v\n recover %+v", rep, readOnly)
+	}
 	shardedFixture.checkInputs(t, rep)
 	if rep.TornDropped != shardedFixture.torn {
 		t.Errorf("TornDropped = %v, want %v", rep.TornDropped, shardedFixture.torn)
 	}
+	checkFlat(t, dir)
 	// Appends continue in the one global sequence space.
-	if seq, err := w.Append(Record{Kind: KindTick, JobID: -1}); err != nil || seq != shardedFixture.lastSeq+1 {
+	if seq, err := l.Append(Record{Kind: KindTick, JobID: -1, AtNs: int64(shardedFixture.lastVirtual)}); err != nil || seq != shardedFixture.lastSeq+1 {
 		t.Fatalf("first append after recovery = seq %d, %v; want %d", seq, err, shardedFixture.lastSeq+1)
 	}
-	if err := w.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	l2, rep2 := openFixture(t, dir)
+	defer l2.Close()
+	again := shardedFixture
+	again.lastSeq++
+	again.checkInputs(t, rep2)
+	if rep2.TornDropped {
+		t.Error("the torn record outlived the migration")
+	}
+}
+
+// TestShardedRotationAndSnapshotPerStream: two of the fixture's streams
+// rotated and compacted before the crash, each into its own snapshot
+// (covering seqs ≤ 271 on shard 0, ≤ 492 on shard 1); the third never
+// did. A stream's snapshot seeds that stream's jobs and covers that
+// stream's records only.
+func TestShardedRotationAndSnapshotPerStream(t *testing.T) {
+	rep, err := Recover(filepath.Join("testdata", "sharded-3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FromSnapshot || rep.Segments != 3 {
+		t.Errorf("FromSnapshot %v Segments %d, want true and 3", rep.FromSnapshot, rep.Segments)
+	}
+	// 6 submits on shard 2, 118 records past shard 0's snapshot (seq 499
+	// torn), 6 past shard 1's.
+	if rep.Records != 130 || rep.Transitions != 124 {
+		t.Errorf("Records %d Transitions %d, want 130 and 124", rep.Records, rep.Transitions)
+	}
+	shardedFixture.checkInputs(t, rep)
+}
+
+// TestShardedMigrationKilledBeforeCleanup: the migration's durable step
+// is the flat snapshot's rename; a process killed after it and before
+// the shard directories are gone leaves both. The snapshot wins — the
+// shards may be half deleted — and the directory ends up flat.
+func TestShardedMigrationKilledBeforeCleanup(t *testing.T) {
+	migrated := copyFixture(t, "sharded-3")
+	l, _ := openFixture(t, migrated)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(migrated, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := copyFixture(t, "sharded-3")
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Part of the clean-up may have happened: the streams alone would now
+	// fail the contiguity check, or worse, recover without shard 0's jobs.
+	if err := os.RemoveAll(filepath.Join(dir, shardDirPrefix+"000")); err != nil {
+		t.Fatal(err)
+	}
+	l2, rep := openFixture(t, dir)
+	defer l2.Close()
+	shardedFixture.checkInputs(t, rep)
+	checkFlat(t, dir)
+}
+
+// TestShardedTornTailDropped: every stream was flushed on its own, so
+// each may end in a torn record; a bad record in the middle of a stream
+// is still corruption.
+func TestShardedTornTailDropped(t *testing.T) {
+	dir := copyFixture(t, "sharded-3")
+	seg := filepath.Join(dir, shardDirPrefix+"001", "wal-00000000000000000493.log")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, raw[:len(raw)-3], 0o644); err != nil { // tears seq 500
+		t.Fatal(err)
+	}
+	rep, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.TornDropped || rep.LastSeq != 498 || len(rep.Jobs) != shardedFixture.jobs {
+		t.Fatalf("TornDropped %v LastSeq %d jobs %d, want true, 498 (499 and 500 torn), %d",
+			rep.TornDropped, rep.LastSeq, len(rep.Jobs), shardedFixture.jobs)
+	}
+
+	raw[12] ^= 1 // inside the first record's payload, valid records after it
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "corrupt record followed by more data") {
+		t.Fatalf("mid-stream corruption: err = %v", err)
+	}
+}
+
+// TestShardedRecoveryAcceptsUnsyncedShardSuffix: a crash can lose one
+// stream's buffered tail while another stream's later records reached
+// disk. Those survivors are genuine history — nothing past the last
+// Sync was ever acknowledged — so recovery accepts them rather than
+// treating the gap as corruption.
+func TestShardedRecoveryAcceptsUnsyncedShardSuffix(t *testing.T) {
+	dir := copyFixture(t, "sharded-3")
+	// Shard 2 holds six submits (seqs 5 … 21) and never reached the disk.
+	if err := os.Truncate(filepath.Join(dir, shardDirPrefix+"002", segmentName(1)), 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != shardedFixture.jobs-6 || rep.LastSeq != shardedFixture.lastSeq {
+		t.Fatalf("%d jobs, LastSeq %d; want %d (the lost six stay lost) and %d",
+			len(rep.Jobs), rep.LastSeq, shardedFixture.jobs-6, shardedFixture.lastSeq)
+	}
+	for i := 1; i < len(rep.Jobs); i++ {
+		if rep.Jobs[i].Seq <= rep.Jobs[i-1].Seq {
+			t.Fatalf("jobs out of submission order: seq %d after %d", rep.Jobs[i].Seq, rep.Jobs[i-1].Seq)
+		}
+	}
+}
+
+// TestCreateShardedRefusesExisting: Create must not start an empty log
+// over a directory whose existing history lives in shard streams.
+func TestCreateShardedRefusesExisting(t *testing.T) {
+	dir := copyFixture(t, "sharded-3")
+	if _, err := Create(dir, testMeta(), Options{NoSync: true}); err == nil {
+		t.Fatal("Create over a legacy sharded directory succeeded")
 	}
 }
 
 func TestFlatFixtureRecovers(t *testing.T) {
 	dir := copyFixture(t, "flat-every-kind")
-	w, rep := openFixture(t, dir)
-	defer w.Close()
+	l, rep := openFixture(t, dir)
+	defer l.Close()
 	flatFixture.checkInputs(t, rep)
 	if rep.TornDropped != flatFixture.torn {
 		t.Errorf("TornDropped = %v, want %v", rep.TornDropped, flatFixture.torn)

@@ -16,7 +16,8 @@
 // crash point a record boundary, and let an operator reconstruct what
 // the scheduler did without re-running it.
 //
-// On-disk layout (one directory):
+// There is one writer, one on-disk layout and one decoder. The layout
+// (one directory):
 //
 //	wal-<firstseq>.log   segments: one record per line, CRC32-framed JSONL
 //	snapshot.json        replay inputs covering records with seq ≤ last_seq
@@ -33,6 +34,13 @@
 // clean log and return without a syscall. Rotation (by segment size)
 // writes a fresh snapshot and deletes the segments it covers, bounding
 // both disk and recovery time.
+//
+// Recovery streams each segment through journal.DecodeLines and
+// decodeFrame (CRC check + encoding/json), serially. Reading the log is
+// 1–2 % of a restart — the rest re-simulates the run — so nothing here
+// is built for speed (DESIGN.md "Durability" has the measurements).
+// sharded.go reads the one retired layout (`shard-NNN/` streams) so that
+// Open can fold such a directory into this one.
 package wal
 
 import (
@@ -106,9 +114,6 @@ type Meta struct {
 	// enabled; proactive pre-drains change lease history, so replay must
 	// run with the same forecaster (default options) to be identical.
 	Forecast bool `json:"forecast,omitempty"`
-	// WALShards records the log's own segment-stream fan-out, for
-	// operator provenance (the on-disk layout is self-describing).
-	WALShards int `json:"wal_shards,omitempty"`
 	// Note is free-form provenance (binary version, operator comment).
 	Note string `json:"note,omitempty"`
 }
@@ -124,9 +129,9 @@ type JobRecord struct {
 	DeadlineNs int64        `json:"deadline_ns,omitempty"`
 	Proactive  bool         `json:"proactive,omitempty"`
 	Spec       core.JobSpec `json:"spec"`
-	// Seq is the submit record's global sequence number, stamped during
-	// recovery and snapshotting so jobs from different shard streams
-	// merge back into submission order.
+	// Seq is the submit record's sequence number, stamped during recovery
+	// and snapshotting: submission order survives compaction (and orders
+	// the merge of a legacy sharded directory's streams).
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -186,10 +191,6 @@ type Options struct {
 	// NoSync skips every fsync — for tests and benchmarks that exercise
 	// the logic without paying the disk.
 	NoSync bool
-	// RecoverWorkers caps the parallel frame-decode workers Open and
-	// OpenSharded use during recovery. 0 picks GOMAXPROCS; 1 decodes
-	// serially. Bit-identical replay at every setting.
-	RecoverWorkers int
 }
 
 func (o Options) withDefaults() Options {
@@ -211,13 +212,10 @@ type Stats struct {
 	// SegmentFill is bytes written to the active segment so far.
 	SegmentFill int    `json:"segment_fill"`
 	Err         string `json:"error,omitempty"`
-	// Shards is the segment-stream fan-out (0 for a flat log).
-	Shards int `json:"shards,omitempty"`
 }
 
-// Writer is the append side of a write-ahead log — satisfied by both the
-// flat Log and the Sharded fan-out, so the scheduler is agnostic to the
-// on-disk layout.
+// Writer is the append side of a write-ahead log: what the scheduler
+// needs of *Log, and the seam a caller wraps to time or fault-inject it.
 type Writer interface {
 	Append(Record) (uint64, error)
 	Sync() error
@@ -300,21 +298,37 @@ func (s *segSort) Swap(i, j int) {
 	s.firsts[i], s.firsts[j] = s.firsts[j], s.firsts[i]
 }
 
-// Exists reports whether dir holds a prior WAL (segments or a
-// snapshot) — the Open-vs-Create decision for a service boot.
+// Exists reports whether dir holds a prior WAL (segments, a snapshot, or
+// the shard directories of the legacy layout) — the Open-vs-Create
+// decision for a service boot.
 func Exists(dir string) bool {
 	if names, _, err := listSegments(dir); err == nil && len(names) > 0 {
 		return true
 	}
-	_, err := os.Stat(filepath.Join(dir, snapshotName))
-	return err == nil
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
+		return true
+	}
+	return len(shardDirs(dir)) > 0
 }
 
 // Create initializes a fresh log in dir (created if missing, must hold
 // no prior WAL files) and writes the meta record as seq 1.
 func Create(dir string, meta Meta, opts Options) (*Log, error) {
-	l, err := createLog(dir, meta, opts)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	names, _, err := listSegments(dir)
 	if err != nil {
+		return nil, err
+	}
+	if len(names) > 0 || len(shardDirs(dir)) > 0 {
+		return nil, fmt.Errorf("wal: %s already holds a log (use Open to recover it)", dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
+		return nil, fmt.Errorf("wal: %s already holds a snapshot (use Open to recover it)", dir)
+	}
+	l := &Log{dir: dir, opts: opts.withDefaults(), meta: meta, nextSeq: 1}
+	if err := l.openSegmentLocked(); err != nil {
 		return nil, err
 	}
 	if _, err := l.Append(Record{Kind: KindMeta, JobID: -1, Meta: &meta}); err != nil {
@@ -326,56 +340,23 @@ func Create(dir string, meta Meta, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// createLog makes the empty on-disk structure for a fresh log without
-// appending the meta record — shard streams of a Sharded log carry the
-// meta only in their snapshots (the meta *record* lives once, at global
-// seq 1 on shard 0).
-func createLog(dir string, meta Meta, opts Options) (*Log, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	names, _, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) > 0 {
-		return nil, fmt.Errorf("wal: %s already holds a log (use Open to recover it)", dir)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
-		return nil, fmt.Errorf("wal: %s already holds a snapshot (use Open to recover it)", dir)
-	}
-	l := &Log{dir: dir, opts: opts.withDefaults(), meta: meta, nextSeq: 1}
-	if err := l.openSegmentLocked(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // Open recovers an existing log and reopens it for appending. The
 // returned Replay carries the inputs to rebuild the scheduler. Appends
 // continue in a fresh segment (never into a possibly-torn old one), and
-// a new snapshot immediately compacts the recovered history.
+// a new snapshot immediately compacts the recovered history — which is
+// also what turns a legacy sharded directory into a flat one: the
+// snapshot holds the merged streams, and once it is durable the shard
+// directories are redundant and go. The fresh segment's first sequence
+// is bumped past any existing segment name so a record-less active
+// segment left by a crash never collides.
 func Open(dir string, opts Options) (*Log, *Replay, error) {
-	r, _, err := recoverDir(dir, false, opts.RecoverWorkers)
+	r, err := Recover(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	l, err := openFrom(dir, opts, r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
-}
-
-// openFrom reopens a recovered directory for appending: a fresh segment
-// (never into a possibly-torn old one), then an immediate snapshot that
-// compacts the recovered history. The fresh segment's first sequence is
-// bumped past any existing segment name so a record-less active segment
-// left by a crash never collides.
-func openFrom(dir string, opts Options, r *Replay) (*Log, error) {
 	nextSeq := r.LastSeq + 1
 	if _, firsts, err := listSegments(dir); err != nil {
-		return nil, err
+		return nil, nil, err
 	} else if n := len(firsts); n > 0 && firsts[n-1] >= nextSeq {
 		nextSeq = firsts[n-1] + 1
 	}
@@ -388,46 +369,46 @@ func openFrom(dir string, opts Options, r *Replay) (*Log, error) {
 		lastVirtNs: int64(r.LastVirtual),
 	}
 	if err := l.openSegmentLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.snapshotLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := l.removeCoveredLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return l, nil
+	if err := l.removeShardsLocked(); err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
 }
 
 // Recover reads a log directory without opening it for writes: snapshot
 // (if any), then every segment in order, verifying checksums and
 // sequence continuity. A torn final record is dropped; anything else
-// malformed aborts with an error. Frame decoding runs the fast path
-// (recover_fast.go) across GOMAXPROCS workers; RecoverWith picks the
-// worker count explicitly.
+// malformed aborts with an error.
 func Recover(dir string) (*Replay, error) {
-	r, _, err := recoverDir(dir, false, 0)
+	// Shard directories are the legacy layout — unless a flat snapshot
+	// sits next to them: that is a migration (see Open) that died before
+	// it removed them, and the snapshot already holds what they held.
+	_, flatErr := os.Stat(filepath.Join(dir, snapshotName))
+	if shards := shardDirs(dir); len(shards) > 0 && flatErr != nil {
+		return recoverShards(dir, shards)
+	}
+	r, _, err := recoverDir(dir, false)
 	return r, err
 }
 
 // recoverDir scans one log directory. In strict mode (a flat log)
 // sequence numbers must be contiguous and a meta record (or snapshot)
-// must be present. In loose mode — one shard stream of a Sharded log,
-// which holds an arbitrary subset of the global sequence space — seqs
-// need only increase, and meta is optional (only shard 0 carries the
-// meta record; the others gain it with their first snapshot). The
-// second return reports whether a meta was found.
-//
-// Decoding is staged per segment — pooled whole-segment read, in-place
-// line split, parallel frame decode into indexed slots — but the fold
-// below consumes the slots serially in file order, so every check
-// (snapshot skip, sequence continuity, torn-tail placement) fires at
-// the same record, with the same error, as the streaming reference at
-// any worker count.
-func recoverDir(dir string, loose bool, workers int) (*Replay, bool, error) {
-	workers = decodeWorkers(workers)
+// must be present. In loose mode — one stream of a legacy sharded
+// directory, which holds an arbitrary subset of the global sequence
+// space — seqs need only increase, and meta is optional (only shard 0
+// carries the meta record; the others gain it with their first
+// snapshot). The second return reports whether a meta was found.
+func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 	r := &Replay{}
 	expected := uint64(1)
 	haveMeta := false
@@ -458,36 +439,31 @@ func recoverDir(dir string, loose bool, workers int) (*Replay, bool, error) {
 	r.Segments = len(names)
 	snapLast := r.LastSeq
 
-	sb := segPool.Get().(*segScratch)
-	defer sb.release()
 	for i, name := range names {
 		last := i == len(names)-1
-		if err := sb.load(filepath.Join(dir, name)); err != nil {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
 			return nil, false, fmt.Errorf("wal: %w", err)
 		}
-		// An over-long line surfaces only after the records before it
-		// fold cleanly, matching where the streaming scanner would fail.
-		splitErr := sb.split()
-		sb.decode(workers)
 		torn := false
-		for j := range sb.lines {
+		scanErr := journal.DecodeLines(f, func(line []byte) error {
 			if torn {
-				return nil, false, fmt.Errorf("wal: %s: corrupt record followed by more data", name)
+				return fmt.Errorf("wal: %s: corrupt record followed by more data", name)
 			}
-			if !sb.oks[j] {
+			rec, ok := decodeFrame(line)
+			if !ok {
 				torn = true
-				continue
+				return nil
 			}
-			rec := &sb.recs[j]
 			if rec.Seq <= snapLast {
-				continue // already covered by the snapshot
+				return nil // already covered by the snapshot
 			}
 			if loose {
 				if rec.Seq < expected {
-					return nil, false, fmt.Errorf("wal: %s: sequence went backwards: got %d after %d", name, rec.Seq, expected-1)
+					return fmt.Errorf("wal: %s: sequence went backwards: got %d after %d", name, rec.Seq, expected-1)
 				}
 			} else if rec.Seq != expected {
-				return nil, false, fmt.Errorf("wal: %s: sequence gap: got %d, want %d", name, rec.Seq, expected)
+				return fmt.Errorf("wal: %s: sequence gap: got %d, want %d", name, rec.Seq, expected)
 			}
 			expected = rec.Seq + 1
 			r.LastSeq = rec.Seq
@@ -503,7 +479,7 @@ func recoverDir(dir string, loose bool, workers int) (*Replay, bool, error) {
 				}
 			case KindSubmit:
 				if rec.Job == nil {
-					return nil, false, fmt.Errorf("wal: %s: submit record %d without a job", name, rec.Seq)
+					return fmt.Errorf("wal: %s: submit record %d without a job", name, rec.Seq)
 				}
 				jr := *rec.Job
 				jr.Seq = rec.Seq
@@ -511,9 +487,11 @@ func recoverDir(dir string, loose bool, workers int) (*Replay, bool, error) {
 			default:
 				r.Transitions++
 			}
-		}
-		if splitErr != nil {
-			return nil, false, splitErr
+			return nil
+		})
+		f.Close() // read-only: nothing to lose
+		if scanErr != nil {
+			return nil, false, scanErr
 		}
 		if torn {
 			if !last {
@@ -529,11 +507,8 @@ func recoverDir(dir string, loose bool, workers int) (*Replay, bool, error) {
 }
 
 // decodeFrame parses one "crc payload" line; ok is false for a torn or
-// corrupt record (bad frame, checksum mismatch, or unparsable JSON).
-// It is the reference decoder: recovery runs decodeFrameFast
-// (recover_fast.go), whose accept/reject behavior and decoded Record
-// must match this function on every input (FuzzDecodeFrame enforces
-// the equivalence).
+// corrupt record (bad frame, checksum mismatch, or unparsable JSON). It
+// is the only function that turns a frame into a Record.
 func decodeFrame(line []byte) (Record, bool) {
 	var rec Record
 	if len(line) < 10 || line[8] != ' ' {
@@ -567,25 +542,6 @@ func (l *Log) Append(r Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
 	r.Seq = l.nextSeq
-	return l.appendLocked(r)
-}
-
-// appendAssigned appends a record whose sequence number the caller
-// already assigned — the Sharded router hands out global seqs across
-// its shard streams, so one stream's seqs jump.
-func (l *Log) appendAssigned(r Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	if l.closed {
-		return 0, fmt.Errorf("wal: log is closed")
-	}
-	return l.appendLocked(r)
-}
-
-func (l *Log) appendLocked(r Record) (uint64, error) {
 	line, err := journal.MarshalLine(r)
 	if err != nil {
 		return 0, err // encoding bug, not an I/O failure: not sticky
