@@ -1,0 +1,238 @@
+package obs
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+)
+
+// refStore is the obvious span store — one slice, retention by
+// re-slicing — that the tracer's store must be indistinguishable from.
+type refStore struct {
+	spans   []SpanData
+	limit   int
+	dropped uint64
+	drops   []int // every OnDrop amount, in order
+}
+
+func (r *refStore) finish(sp SpanData) {
+	r.spans = append(r.spans, sp)
+	r.truncate()
+}
+
+func (r *refStore) setLimit(n int) {
+	r.limit = n
+	r.truncate()
+}
+
+func (r *refStore) truncate() {
+	if r.limit > 0 && len(r.spans) > r.limit {
+		over := len(r.spans) - r.limit
+		r.dropped += uint64(over)
+		r.spans = r.spans[over:]
+		r.drops = append(r.drops, over)
+	}
+}
+
+// trace is TraceSpans: nil for the zero (untraced) ID by contract.
+func (r *refStore) trace(id uint64) []SpanData {
+	if id == 0 {
+		return nil
+	}
+	var out []SpanData
+	for _, sp := range r.spans {
+		if sp.TraceID == id {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+func sameSpans(t *testing.T, what string, got, want []SpanData) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d spans, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: span %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// storePair drives a tracer and the reference with the same operations.
+type storePair struct {
+	t     *testing.T
+	tr    *Tracer
+	ref   *refStore
+	drops []int
+	next  int
+}
+
+func newStorePair(t *testing.T) *storePair {
+	p := &storePair{t: t, tr: NewTracer(nil), ref: &refStore{}}
+	p.tr.OnDrop(func(n int) { p.drops = append(p.drops, n) })
+	return p
+}
+
+// span makes the next distinguishable span, spread over five traces
+// (trace 0 is the flat, untraced one).
+func (p *storePair) span() SpanData {
+	p.next++
+	return SpanData{
+		TraceID:   uint64(p.next % 5),
+		SpanID:    uint64(p.next),
+		Component: "c",
+		Name:      "n",
+		Start:     time.Duration(p.next),
+		End:       time.Duration(p.next),
+	}
+}
+
+func (p *storePair) absorb(n int) {
+	batch := make([]SpanData, n)
+	for i := range batch {
+		batch[i] = p.span()
+		p.ref.finish(batch[i])
+	}
+	p.tr.Absorb(batch)
+}
+
+func (p *storePair) setLimit(n int) {
+	p.tr.SetLimit(n)
+	p.ref.setLimit(n)
+}
+
+func (p *storePair) check(what string) {
+	p.t.Helper()
+	if got, want := p.tr.Len(), len(p.ref.spans); got != want {
+		p.t.Fatalf("%s: Len = %d, want %d", what, got, want)
+	}
+	if got, want := p.tr.Dropped(), p.ref.dropped; got != want {
+		p.t.Fatalf("%s: Dropped = %d, want %d", what, got, want)
+	}
+	if len(p.drops) != len(p.ref.drops) {
+		p.t.Fatalf("%s: %d OnDrop calls, want %d", what, len(p.drops), len(p.ref.drops))
+	}
+	for i := range p.drops {
+		if p.drops[i] != p.ref.drops[i] {
+			p.t.Fatalf("%s: OnDrop call %d = %d, want %d", what, i, p.drops[i], p.ref.drops[i])
+		}
+	}
+	sameSpans(p.t, what+": Spans", p.tr.Spans(), p.ref.spans)
+}
+
+// TestSpanStoreMatchesSliceReference is the differential test of the
+// tracer's retained-span store: 10k random finish / SetLimit / Spans /
+// Len / TraceSpans / Absorb operations against a plain []SpanData.
+func TestSpanStoreMatchesSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	p := newStorePair(t)
+	limits := []int{0, -1, 1, 2, 63, 64, 65, 100, 1000, 4095, 4096, 4097, 9000}
+	for op := 0; op < 10000; op++ {
+		switch k := rng.Intn(100); {
+		case k < 70:
+			sp := p.span()
+			p.ref.finish(sp)
+			p.tr.Absorb([]SpanData{sp})
+		case k < 80:
+			p.absorb(rng.Intn(300))
+		case k < 83:
+			p.setLimit(limits[rng.Intn(len(limits))])
+		case k < 90:
+			if got, want := p.tr.Len(), len(p.ref.spans); got != want {
+				t.Fatalf("op %d: Len = %d, want %d", op, got, want)
+			}
+		case k < 95:
+			id := uint64(rng.Intn(6))
+			sameSpans(t, "TraceSpans", p.tr.TraceSpans(id), p.ref.trace(id))
+		default:
+			p.check("random op")
+		}
+	}
+	p.check("end")
+}
+
+// TestSpanStoreBoundarySizes fills to, and truncates to, the sizes on
+// either side of the store's first and largest chunk.
+func TestSpanStoreBoundarySizes(t *testing.T) {
+	sizes := []int{1, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 8191, 8192, 8193}
+	for _, n := range sizes {
+		p := newStorePair(t)
+		p.absorb(n)
+		p.check("filled")
+		for _, id := range []uint64{0, 1, 4} {
+			sameSpans(t, "TraceSpans", p.tr.TraceSpans(id), p.ref.trace(id))
+		}
+		for _, limit := range sizes {
+			p.setLimit(limit)
+			p.check("lowered")
+			p.absorb(3)
+			p.check("lowered, then three more")
+			p.setLimit(0)
+			p.absorb(n)
+			p.check("cleared and refilled")
+		}
+	}
+}
+
+// TestSpanStoreLimitMidStream raises, lowers and clears the limit while
+// spans keep finishing.
+func TestSpanStoreLimitMidStream(t *testing.T) {
+	p := newStorePair(t)
+	for _, limit := range []int{100, 5000, 64, 0, 4096, 1, 65, 10000, 3} {
+		p.setLimit(limit)
+		p.check("limit set")
+		p.absorb(4500)
+		p.check("after 4500 more")
+	}
+}
+
+// TestSpanStoreConcurrent runs Child / End / TraceSpans / SetLimit / Spans
+// from several goroutines; under -race it checks the store's locking,
+// and at the end every finished span is either retained or counted as
+// dropped.
+func TestSpanStoreConcurrent(t *testing.T) {
+	tr := NewTracer(nil)
+	const workers, perWorker = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			root := tr.StartTrace(NewTraceID(1, uint64(w)), "t", "root")
+			for i := 0; i < perWorker; i++ {
+				c := root.Child("t", "child")
+				c.Detailf("%d", i)
+				c.End()
+			}
+			root.End()
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		limits := []int{0, 64, 5000, 1, 4097}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tr.SetLimit(limits[i%len(limits)])
+			tr.TraceSpans(NewTraceID(1, uint64(i%workers)))
+			tr.Spans()
+			tr.Len()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	tr.SetLimit(0)
+	if got, want := uint64(tr.Len())+tr.Dropped(), uint64(workers*(perWorker+1)); got != want {
+		t.Fatalf("retained + dropped = %d, want %d", got, want)
+	}
+}
