@@ -76,8 +76,8 @@ func DefaultConfig() Config {
 		// (and the β table means something) within the first simulated
 		// hour, long enough to span several price changes per window.
 		// Horizon hazard-scales estimates to any other span.
-		Window: trace.BillingHour / 2,
-		Alpha:  0.05,
+		Window:     trace.BillingHour / 2,
+		Alpha:      0.05,
 		FastTau:    4 * time.Minute,
 		SlowTau:    time.Hour,
 		OnsetRatio: 1.6,

@@ -46,6 +46,30 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestPrometheusTextIndependentOfLabelOrder pins the exposition of a
+// labelled family byte for byte: series sorted by label signature,
+// labels by key, whatever order the call sites named them in.
+func TestPrometheusTextIndependentOfLabelOrder(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("grants_total", "allocations granted", L("type", "m4"), L("kind", "spot")).Add(2)
+	reg.Counter("grants_total", "allocations granted", L("kind", "ondemand"), L("type", "c4")).Inc()
+	reg.Counter("grants_total", "allocations granted", L("kind", "spot"), L("type", "m4")).Inc()
+	reg.Counter("grants_total", "allocations granted").Inc()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP grants_total allocations granted
+# TYPE grants_total counter
+grants_total 1
+grants_total{kind="ondemand",type="c4"} 1
+grants_total{kind="spot",type="m4"} 3
+`
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 // TestHandlerMatchesFileExporter is the live-mode acceptance property:
 // the /metrics endpoint serves exactly what WritePrometheus writes.
 func TestHandlerMatchesFileExporter(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,38 +114,32 @@ func (r *Registry) getFamily(name, help string, kind MetricKind, buckets []float
 	return f
 }
 
-// labelSignature produces the canonical map key for a label set.
-func labelSignature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for _, l := range labels {
-		sb.WriteString(l.Key)
-		sb.WriteByte('\x00')
-		sb.WriteString(l.Value)
-		sb.WriteByte('\x00')
-	}
-	return sb.String()
-}
-
-// sortLabels returns a copy of labels sorted by key (stable exports).
-func sortLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// getChild returns the series for the label set, creating it on first use.
+// getChild returns the series for the label set, creating it on first
+// use. A hit allocates nothing: the labels are ordered by key in a stack
+// copy (an insertion sort, which does nothing below two labels), the
+// canonical map key is built in a stack buffer, and the lookup converts
+// it in place. Only a miss pays for the key string and the label copy.
 func (f *family) getChild(labels []Label) *child {
-	sorted := sortLabels(labels)
-	sig := labelSignature(sorted)
+	var lbuf [4]Label
+	sorted := append(lbuf[:0], labels...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	var kbuf [128]byte
+	sig := kbuf[:0]
+	for _, l := range sorted {
+		sig = append(sig, l.Key...)
+		sig = append(sig, 0)
+		sig = append(sig, l.Value...)
+		sig = append(sig, 0)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c, ok := f.series[sig]
+	c, ok := f.series[string(sig)]
 	if !ok {
-		c = &child{labels: sorted}
+		c = &child{labels: append([]Label(nil), sorted...)}
 		switch f.kind {
 		case KindCounter:
 			c.counter = &Counter{}
@@ -155,7 +148,7 @@ func (f *family) getChild(labels []Label) *child {
 		case KindHistogram:
 			c.hist = newHistogram(f.buckets)
 		}
-		f.series[sig] = c
+		f.series[string(sig)] = c
 	}
 	return c
 }

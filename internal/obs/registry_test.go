@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +74,63 @@ func TestLabelOrderCanonical(t *testing.T) {
 	b := reg.Counter("y_total", "y", L("b", "2"), L("a", "1"))
 	if a != b {
 		t.Fatal("label order changed series identity")
+	}
+}
+
+// TestLabelOrderCanonicalAnySize permutes label sets on both sides of
+// getChild's four-label stack buffer: every order names one series, and
+// the series exports its labels sorted by key.
+func TestLabelOrderCanonicalAnySize(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 5, 7} {
+		reg := NewRegistry()
+		labels := make([]Label, n)
+		for i := range labels {
+			labels[i] = L(string(rune('a'+i)), strconv.Itoa(i))
+		}
+		want := reg.Counter("p_total", "p", labels...)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for trial := 0; trial < 50; trial++ {
+			rng.Shuffle(n, func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
+			if reg.Counter("p_total", "p", labels...) != want {
+				t.Fatalf("%d labels: order %v named a different series", n, labels)
+			}
+		}
+		series := reg.Snapshot()[0].Series
+		if len(series) != 1 {
+			t.Fatalf("%d labels: %d series, want 1", n, len(series))
+		}
+		for i, l := range series[0].Labels {
+			if l != L(string(rune('a'+i)), strconv.Itoa(i)) {
+				t.Fatalf("%d labels: exported labels %v not sorted by key", n, series[0].Labels)
+			}
+		}
+	}
+}
+
+// TestSeriesHitAllocatesNothing pins the registry's hit path — what every
+// un-memoised call site pays per observation — at zero allocations.
+func TestSeriesHitAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	buckets := []float64{1, 10}
+	hits := map[string]func(){
+		"counter, no labels": func() { reg.Counter("c0_total", "c").Inc() },
+		"gauge, one label":   func() { reg.Gauge("g1", "g", L("type", "c4.xlarge")).Set(1) },
+		"counter, two labels": func() {
+			reg.Counter("c2_total", "c", L("kind", "spot"), L("type", "c4.xlarge")).Inc()
+		},
+		"counter, two labels out of order": func() {
+			reg.Counter("c2_total", "c", L("type", "c4.xlarge"), L("kind", "spot")).Inc()
+		},
+		"histogram, one label": func() { reg.Histogram("h1", "h", buckets, L("k", "v")).Observe(2) },
+	}
+	for name, hit := range hits {
+		hit() // the miss that creates the series
+		if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+			t.Errorf("%s: %v allocs per hit, want 0", name, allocs)
+		}
+	}
+	if got := len(reg.Snapshot()); got != 4 {
+		t.Fatalf("%d families, want 4", got)
 	}
 }
 

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refStore is the obvious span store — one slice, retention by
@@ -165,7 +167,7 @@ func TestSpanStoreBoundarySizes(t *testing.T) {
 		for _, id := range []uint64{0, 1, 4} {
 			sameSpans(t, "TraceSpans", p.tr.TraceSpans(id), p.ref.trace(id))
 		}
-		for _, limit := range sizes {
+		for _, limit := range []int{1, 63, 64, 65, 4095, 4096, 4097} {
 			p.setLimit(limit)
 			p.check("lowered")
 			p.absorb(3)
@@ -234,5 +236,41 @@ func TestSpanStoreConcurrent(t *testing.T) {
 	tr.SetLimit(0)
 	if got, want := uint64(tr.Len())+tr.Dropped(), uint64(workers*(perWorker+1)); got != want {
 		t.Fatalf("retained + dropped = %d, want %d", got, want)
+	}
+}
+
+// TestSpanLimitRetentionIsConstantTime is the -trace-limit regression:
+// once the limit was reached every finished span used to copy all the
+// retained ones. A finished span now allocates less than once (a chunk
+// per 4,096) whatever the limit, so the bytes it moves cannot scale
+// with it.
+func TestSpanLimitRetentionIsConstantTime(t *testing.T) {
+	perSpan := func(limit int) (allocs float64, bytes uint64) {
+		tr := NewTracer(nil)
+		tr.SetLimit(limit)
+		batch := []SpanData{{Component: "c", Name: "n"}}
+		for i := 0; i < limit+maxChunk; i++ {
+			tr.Absorb(batch)
+		}
+		const runs = 2 * maxChunk
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { tr.Absorb(batch) })
+		runtime.ReadMemStats(&after)
+		if tr.Len() != limit {
+			t.Fatalf("limit %d: Len = %d", limit, tr.Len())
+		}
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	spanBytes := uint64(unsafe.Sizeof(SpanData{}))
+	for _, limit := range []int{100, 10000, 100000} {
+		allocs, bytes := perSpan(limit)
+		if allocs >= 1 {
+			t.Errorf("limit %d: %v allocs per finished span, want < 1", limit, allocs)
+		}
+		if bytes > 2*spanBytes {
+			t.Errorf("limit %d: %d bytes allocated per finished span, want about %d whatever the limit",
+				limit, bytes, spanBytes)
+		}
 	}
 }

@@ -107,7 +107,7 @@ func childSpanID(traceID, parentID, index uint64) uint64 {
 type Tracer struct {
 	mu      sync.Mutex
 	now     func() time.Duration
-	spans   []SpanData
+	spans   spanStore
 	subs    []func(SpanData)
 	open    map[*Span]struct{}
 	limit   int
@@ -173,10 +173,10 @@ func (t *Tracer) OnDrop(fn func(n int)) {
 }
 
 func (t *Tracer) truncateLocked() {
-	if t.limit > 0 && len(t.spans) > t.limit {
-		over := len(t.spans) - t.limit
+	if t.limit > 0 && t.spans.n > t.limit {
+		over := t.spans.n - t.limit
 		t.dropped += uint64(over)
-		t.spans = append(t.spans[:0:0], t.spans[over:]...)
+		t.spans.dropFront(over)
 		if t.onDrop != nil {
 			t.onDrop(over)
 		}
@@ -204,12 +204,18 @@ func (t *Tracer) Subscribe(fn func(SpanData)) {
 	t.subs = append(t.subs, fn)
 }
 
+// recordLocked retains a finished span and returns the subscribers the
+// caller must hand it to once the lock is released.
+func (t *Tracer) recordLocked(sp SpanData) []func(SpanData) {
+	t.spans.push(sp)
+	t.truncateLocked()
+	return t.subs
+}
+
 // finish records the span and notifies subscribers (outside the lock).
 func (t *Tracer) finish(sp SpanData) {
 	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.truncateLocked()
-	subs := t.subs
+	subs := t.recordLocked(sp)
 	t.mu.Unlock()
 	for _, fn := range subs {
 		fn(sp)
@@ -252,7 +258,9 @@ func (t *Tracer) Start(component, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.startSpan(SpanRef{}, 0, component, name)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.startSpanLocked(SpanRef{}, 0, component, name, "")
 }
 
 // StartTrace opens the root span of a new trace. Derive traceID with
@@ -261,13 +269,14 @@ func (t *Tracer) StartTrace(traceID uint64, component, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.startSpan(SpanRef{TraceID: traceID, SpanID: childSpanID(traceID, 0, 0)}, 0, component, name)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.startSpanLocked(SpanRef{TraceID: traceID, SpanID: childSpanID(traceID, 0, 0)}, 0, component, name, "")
 }
 
-// startSpan opens a span with the given identity and registers it as
-// in-flight.
-func (t *Tracer) startSpan(ref SpanRef, parentID uint64, component, name string) *Span {
-	t.mu.Lock()
+// startSpanLocked opens a span with the given identity and registers it
+// as in-flight.
+func (t *Tracer) startSpanLocked(ref SpanRef, parentID uint64, component, name, detail string) *Span {
 	now := t.now()
 	s := &Span{
 		t: t,
@@ -277,13 +286,13 @@ func (t *Tracer) startSpan(ref SpanRef, parentID uint64, component, name string)
 			ParentID:  parentID,
 			Component: component,
 			Name:      name,
+			Detail:    detail,
 			Start:     now,
 			End:       now,
 		},
 		wallStart: time.Now(),
 	}
 	t.open[s] = struct{}{}
-	t.mu.Unlock()
 	return s
 }
 
@@ -346,6 +355,10 @@ func (s *Span) SetAttrs(v any) *Span {
 func (s *Span) nextChild() (ref SpanRef, parent uint64) {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
+	return s.nextChildLocked()
+}
+
+func (s *Span) nextChildLocked() (ref SpanRef, parent uint64) {
 	if s.data.TraceID == 0 {
 		return SpanRef{}, 0
 	}
@@ -357,11 +370,20 @@ func (s *Span) nextChild() (ref SpanRef, parent uint64) {
 // Child opens a sub-span of this span in the same trace. A nil span
 // returns nil.
 func (s *Span) Child(component, name string) *Span {
+	return s.ChildDetail(component, name, "")
+}
+
+// ChildDetail is Child followed by setting the detail to an already
+// rendered string, under one hold of the tracer lock — for call sites
+// hot enough that Detailf's fmt pass and second lock hold show up.
+func (s *Span) ChildDetail(component, name, detail string) *Span {
 	if s == nil {
 		return nil
 	}
-	ref, parent := s.nextChild()
-	return s.t.startSpan(ref, parent, component, name)
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	ref, parent := s.nextChildLocked()
+	return s.t.startSpanLocked(ref, parent, component, name, detail)
 }
 
 // Eventf records an instant child event (Start == End) under this span
@@ -394,22 +416,37 @@ func (s *Span) EventAttrs(component, name string, attrs any, detail string, args
 
 // End finishes the span at the tracer's current time, recording the
 // wall-clock cost of the spanned operation. Idempotent.
-func (s *Span) End() {
+func (s *Span) End() { s.end("", false) }
+
+// EndDetail is End preceded by setting the detail to an already rendered
+// string (see ChildDetail).
+func (s *Span) EndDetail(detail string) { s.end(detail, true) }
+
+// end stamps, retains and unregisters the span under one hold of the
+// tracer lock, then notifies subscribers outside it.
+func (s *Span) end(detail string, setDetail bool) {
 	if s == nil {
 		return
 	}
-	s.t.mu.Lock()
+	t := s.t
+	t.mu.Lock()
 	if s.done {
-		s.t.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	s.done = true
-	delete(s.t.open, s)
-	s.data.End = s.t.now()
+	if setDetail {
+		s.data.Detail = detail
+	}
+	delete(t.open, s)
+	s.data.End = t.now()
 	s.data.Wall = time.Since(s.wallStart)
 	sp := s.data
-	s.t.mu.Unlock()
-	s.t.finish(sp)
+	subs := t.recordLocked(sp)
+	t.mu.Unlock()
+	for _, fn := range subs {
+		fn(sp)
+	}
 }
 
 // Spans returns a copy of the retained spans in completion order.
@@ -419,8 +456,10 @@ func (t *Tracer) Spans() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, len(t.spans))
-	copy(out, t.spans)
+	out := make([]SpanData, 0, t.spans.n)
+	for i := range t.spans.chunks {
+		out = append(out, t.spans.live(i)...)
+	}
 	return out
 }
 
@@ -431,7 +470,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.spans.n
 }
 
 // openSnapshotLocked copies the in-flight spans (all traces, or one),
@@ -484,9 +523,12 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []SpanData
-	for _, sp := range t.spans {
-		if sp.TraceID == traceID {
-			out = append(out, sp)
+	for i := range t.spans.chunks {
+		chunk := t.spans.live(i)
+		for j := range chunk {
+			if chunk[j].TraceID == traceID {
+				out = append(out, chunk[j])
+			}
 		}
 	}
 	return append(out, t.openSnapshotLocked(traceID)...)

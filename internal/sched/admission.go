@@ -33,10 +33,7 @@ func (s *Scheduler) admit() {
 		// The admission-wait histogram carries the job's trace ID as its
 		// bucket exemplar: a slow-admission spike on a dashboard links
 		// straight to a causal tree explaining the wait.
-		s.obs().Reg().Histogram("proteus_sched_admission_wait_seconds",
-			"queue wait from arrival to admission, in virtual seconds",
-			[]float64{0.001, 1, 5, 15, 60, 300, 900, 3600, 14400}).
-			ObserveEx(wait.Seconds(), next.traceID)
+		s.admissionWaitHistogram().ObserveEx(wait.Seconds(), next.traceID)
 		s.emitJob(EventAdmitted, next, fmt.Sprintf("waited %v", wait))
 	}
 }

@@ -386,6 +386,8 @@ type Scheduler struct {
 	snapFree []*snapshot
 	tgtFree  []map[int]int
 
+	inst instruments
+
 	// wal durability: transitions append to wal while the virtual clock
 	// is at or past walMuteUntil (catch-up replay of recovered history
 	// re-executes transitions whose records already exist); resumeTo is
@@ -420,6 +422,10 @@ func New(eng *sim.Engine, mkt *market.Market, cfg Config) (*Scheduler, error) {
 		allocs: make(map[market.AllocationID]*brokerAlloc),
 		maxID:  -1,
 		wal:    cfg.WAL,
+		inst: instruments{
+			rebalances: make(map[string]*obs.Counter),
+			jobs:       make(map[string]*obs.Counter),
+		},
 	}
 	// The market horizon bounds the run: when the price traces end, no
 	// further market events fire and unfinished jobs are reported as
@@ -451,9 +457,66 @@ func New(eng *sim.Engine, mkt *market.Market, cfg Config) (*Scheduler, error) {
 
 func (s *Scheduler) obs() *obs.Observer { return s.cfg.Observer }
 
+// instruments memoises the obs handles the drive goroutine would
+// otherwise resolve by family name and label signature per lease, per
+// rebalance and per job transition. As with market's hot handles, each
+// resolves at first use — so a run exports exactly the families it
+// touched — and remembers that it did in a done flag or a map entry,
+// never a nil check: a nil registry yields nil no-op instruments, and
+// those are worth remembering too. Guarded by Scheduler.mu.
+type instruments struct {
+	lease, admissionWait struct {
+		h    *obs.Histogram
+		done bool
+	}
+	state struct {
+		queued, running, leased, idle *obs.Gauge
+		done                          bool
+	}
+	rebalances map[string]*obs.Counter // by cause
+	jobs       map[string]*obs.Counter // by state
+}
+
 func (s *Scheduler) jobCounter(state string) *obs.Counter {
-	return s.obs().Reg().Counter("proteus_sched_jobs_total",
-		"job state transitions", obs.L("state", state))
+	c, ok := s.inst.jobs[state]
+	if !ok {
+		c = s.obs().Reg().Counter("proteus_sched_jobs_total",
+			"job state transitions", obs.L("state", state))
+		s.inst.jobs[state] = c
+	}
+	return c
+}
+
+func (s *Scheduler) rebalanceCounter(cause string) *obs.Counter {
+	c, ok := s.inst.rebalances[cause]
+	if !ok {
+		c = s.obs().Reg().Counter("proteus_sched_rebalances_total",
+			"lease reassignments between jobs", obs.L("cause", cause))
+		s.inst.rebalances[cause] = c
+	}
+	return c
+}
+
+func (s *Scheduler) leaseHistogram() *obs.Histogram {
+	m := &s.inst.lease
+	if !m.done {
+		m.h = s.obs().Reg().Histogram("proteus_sched_lease_seconds",
+			"duration of one allocation lease to one job",
+			[]float64{60, 300, 900, 1800, 3600, 7200, 14400, 43200})
+		m.done = true
+	}
+	return m.h
+}
+
+func (s *Scheduler) admissionWaitHistogram() *obs.Histogram {
+	m := &s.inst.admissionWait
+	if !m.done {
+		m.h = s.obs().Reg().Histogram("proteus_sched_admission_wait_seconds",
+			"queue wait from arrival to admission, in virtual seconds",
+			[]float64{0.001, 1, 5, 15, 60, 300, 900, 3600, 14400})
+		m.done = true
+	}
+	return m.h
 }
 
 // observeState refreshes the queue/footprint gauges and records a
@@ -477,11 +540,19 @@ func (s *Scheduler) observeState(changed bool) {
 	}
 	queued := s.stateCount[Queued]
 	running := s.stateCount[Running]
-	reg := s.obs().Reg()
-	reg.Gauge("proteus_sched_queue_depth", "jobs arrived and awaiting admission").Set(float64(queued))
-	reg.Gauge("proteus_sched_running_jobs", "jobs currently holding or competing for leases").Set(float64(running))
-	reg.Gauge("proteus_sched_leased_cores", "transient cores currently leased to jobs").Set(float64(leased))
-	reg.Gauge("proteus_sched_idle_cores", "paid transient cores awaiting a lease").Set(float64(idle))
+	g := &s.inst.state
+	if !g.done {
+		reg := s.obs().Reg()
+		g.queued = reg.Gauge("proteus_sched_queue_depth", "jobs arrived and awaiting admission")
+		g.running = reg.Gauge("proteus_sched_running_jobs", "jobs currently holding or competing for leases")
+		g.leased = reg.Gauge("proteus_sched_leased_cores", "transient cores currently leased to jobs")
+		g.idle = reg.Gauge("proteus_sched_idle_cores", "paid transient cores awaiting a lease")
+		g.done = true
+	}
+	g.queued.Set(float64(queued))
+	g.running.Set(float64(running))
+	g.leased.Set(float64(leased))
+	g.idle.Set(float64(idle))
 	now := s.eng.Now() - s.startAt
 	if s.pendingUtilSet && s.pendingUtil.At < now {
 		s.flushTimelineLocked()
