@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -119,5 +122,186 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := PolicyByName("nope"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// The ref* functions are the three policies as they stood when they
+// sorted through sort.Slice, kept as the reference the shipped policies
+// must equal element for element.
+
+func refOrder(n int, keep func(i int) bool, less func(a, b int) bool) []int {
+	order := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if keep == nil || keep(i) {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
+	return order
+}
+
+func refFairShare(reqs []ShareRequest, total int) []int {
+	out := make([]int, len(reqs))
+	if len(reqs) == 0 || total <= 0 {
+		return out
+	}
+	sumW := 0
+	for _, r := range reqs {
+		if r.MaxCores > 0 {
+			sumW += weight(r)
+		}
+	}
+	if sumW == 0 {
+		return out
+	}
+	given := 0
+	for i, r := range reqs {
+		if r.MaxCores <= 0 {
+			continue
+		}
+		out[i] = total * weight(r) / sumW
+		if out[i] > r.MaxCores {
+			out[i] = r.MaxCores
+		}
+		given += out[i]
+	}
+	order := refOrder(len(reqs), nil, func(a, b int) bool {
+		ra, rb := reqs[a], reqs[b]
+		if weight(ra) != weight(rb) {
+			return weight(ra) > weight(rb)
+		}
+		return ra.ID < rb.ID
+	})
+	for given < total {
+		progressed := false
+		for _, i := range order {
+			if given >= total {
+				break
+			}
+			if out[i] < reqs[i].MaxCores {
+				out[i]++
+				given++
+				progressed = true
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	return out
+}
+
+func refCostGreedy(reqs []ShareRequest, total int) []int {
+	out := make([]int, len(reqs))
+	order := refOrder(len(reqs), nil, func(a, b int) bool {
+		ra, rb := reqs[a], reqs[b]
+		if ra.RemainingWork != rb.RemainingWork {
+			return ra.RemainingWork < rb.RemainingWork
+		}
+		if ra.Priority != rb.Priority {
+			return ra.Priority > rb.Priority
+		}
+		return ra.ID < rb.ID
+	})
+	rem := total
+	for _, i := range order {
+		give := reqs[i].MaxCores
+		if give > rem {
+			give = rem
+		}
+		out[i] = give
+		rem -= give
+		if rem == 0 {
+			break
+		}
+	}
+	return out
+}
+
+func refDeadlineFirst(reqs []ShareRequest, total int) []int {
+	out := make([]int, len(reqs))
+	order := refOrder(len(reqs), func(i int) bool { return reqs[i].Deadline > 0 }, func(a, b int) bool {
+		ra, rb := reqs[a], reqs[b]
+		if ra.Deadline != rb.Deadline {
+			return ra.Deadline < rb.Deadline
+		}
+		return ra.ID < rb.ID
+	})
+	rem := total
+	for _, i := range order {
+		give := reqs[i].NeededCores
+		if give > reqs[i].MaxCores {
+			give = reqs[i].MaxCores
+		}
+		if give > rem {
+			give = rem
+		}
+		out[i] = give
+		rem -= give
+	}
+	if rem > 0 {
+		residual := make([]ShareRequest, len(reqs))
+		copy(residual, reqs)
+		for i := range residual {
+			residual[i].MaxCores -= out[i]
+		}
+		extra := refFairShare(residual, rem)
+		for i := range out {
+			out[i] += extra[i]
+		}
+	}
+	return out
+}
+
+// TestPoliciesMatchSortSliceReference: on random request sets drawn from
+// deliberately small value pools — so equal weights, equal deadlines,
+// equal remaining work, zero caps, an empty pool and an over-subscribed
+// one all occur, and every comparator is decided by its ID tie-break
+// often — each policy returns exactly what its sort.Slice reference
+// returns. IDs are unique, as the scheduler's are.
+func TestPoliciesMatchSortSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	priorities := []int{-3, -1, 0, 0, 1, 1, 4}
+	deadlines := []time.Duration{0, 0, time.Hour, time.Hour, 90 * time.Minute, 6 * time.Hour}
+	remaining := []float64{0, 1.5, 1.5, 10, 10, 640}
+	caps := []int{0, 0, 1, 4, 16, 64}
+	totals := []int{-1, 0, 1, 7, 64, 1000}
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(13)
+		if trial%50 == 0 {
+			n = 64 + rng.Intn(64) // past any insertion-sort cutoff
+		}
+		reqs := make([]ShareRequest, n)
+		for i, id := range rng.Perm(n) {
+			reqs[i] = ShareRequest{
+				ID:            3 * id,
+				Priority:      priorities[rng.Intn(len(priorities))],
+				Arrival:       time.Duration(rng.Intn(4)) * time.Minute,
+				Deadline:      deadlines[rng.Intn(len(deadlines))],
+				MaxCores:      caps[rng.Intn(len(caps))],
+				NeededCores:   rng.Intn(24),
+				RemainingWork: remaining[rng.Intn(len(remaining))],
+			}
+		}
+		total := totals[rng.Intn(len(totals))]
+		now := time.Duration(rng.Intn(3)) * time.Hour
+		input := append([]ShareRequest(nil), reqs...)
+		for _, c := range []struct {
+			policy Policy
+			want   []int
+		}{
+			{FairShare{}, refFairShare(reqs, total)},
+			{CostGreedy{}, refCostGreedy(reqs, total)},
+			{DeadlineFirst{}, refDeadlineFirst(reqs, total)},
+		} {
+			got := c.policy.Shares(now, reqs, total)
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("trial %d: %s over total %d\nreqs %+v\n got %v\nwant %v",
+					trial, c.policy.Name(), total, reqs, got, c.want)
+			}
+			if !slices.Equal(reqs, input) {
+				t.Fatalf("trial %d: %s modified its requests", trial, c.policy.Name())
+			}
+		}
 	}
 }
