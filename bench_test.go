@@ -553,6 +553,59 @@ func BenchmarkSchedulerMultiTenant(b *testing.B) {
 	b.ReportMetric(study.Concurrent.Makespan.Hours(), "makespan-hrs")
 }
 
+// BenchmarkEngineCancelReschedule times one engine step under the
+// scheduler's scheduleCompletion pattern: a two-minute decision tick
+// that cancels each of three running jobs' completion events, due days
+// ahead, and re-arms them. 6,000 re-arms have happened before the timer
+// starts, so an engine that leaves canceled events queued until they
+// surface is measured pushing and popping through thousands of dead
+// completions, as a sparse-long run does.
+func BenchmarkEngineCancelReschedule(b *testing.B) {
+	eng := sim.NewEngine()
+	completions := make([]*sim.Event, 3)
+	done := func() {}
+	eng.Every(2*time.Minute, "tick", func() {
+		for j, ev := range completions {
+			if ev != nil {
+				ev.Cancel()
+			}
+			completions[j] = eng.At(eng.Now()+time.Duration(60+j)*time.Hour, "complete", done)
+		}
+	})
+	for i := 0; i < 2000; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.ReportMetric(float64(eng.Pending()), "pending")
+}
+
+// BenchmarkFairShareShares times the placement policy the scheduler
+// calls at every rebalance, at the two sizes the repo benchmark's
+// workloads run it: 3 running jobs (sparse-long) and 64 (dense-short).
+// Priorities repeat, so the leftover order is decided by the ID
+// tie-break as often as by weight.
+func BenchmarkFairShareShares(b *testing.B) {
+	for _, n := range []int{3, 64} {
+		b.Run(benchName("jobs", n), func(b *testing.B) {
+			reqs := make([]sched.ShareRequest, n)
+			for i := range reqs {
+				reqs[i] = sched.ShareRequest{ID: (i * 37) % n, Priority: i % 3, MaxCores: 64 + 8*(i%5), RemainingWork: float64(1 + i%7)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var shares []int
+			for i := 0; i < b.N; i++ {
+				shares = (sched.FairShare{}).Shares(0, reqs, 96*n/3+1)
+			}
+			b.ReportMetric(float64(len(shares)), "jobs")
+		})
+	}
+}
+
 // BenchmarkSSEFanout times the serve-path hot loop: one scheduler event
 // dispatched through the SSE hub to 16 live timeline viewers. The hub
 // encodes the frame once and fans pre-framed bytes out non-blocking, so

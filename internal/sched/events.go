@@ -45,10 +45,14 @@ type Event struct {
 }
 
 // Subscription is one consumer of the scheduler's event stream. Events
-// are delivered on C in emission order; a consumer that falls behind its
-// buffer loses the oldest pending deliveries (counted by Dropped) rather
-// than stalling the simulation. Close releases the subscription and
-// closes C.
+// are delivered on C in emission order; a consumer whose buffer is full
+// loses the newest events — those emitted while it stays full, never
+// the ones already queued — (counted by Dropped) rather than stalling
+// the simulation. Close releases the subscription and closes C.
+//
+// A subscription is what makes the scheduler build events at all: with
+// none registered, emitJob and emitTimeline construct nothing and send
+// nothing, so a stream nobody reads costs the simulation nothing.
 type Subscription struct {
 	C <-chan Event
 
@@ -99,29 +103,30 @@ func (sub *Subscription) Dropped() int {
 }
 
 // emit broadcasts to every subscriber without blocking the simulation:
-// a full buffer drops the event for that subscriber. Callers hold mu.
+// a full buffer drops the event for that subscriber. Callers hold mu
+// and have checked that there is a subscriber to build the event for.
 func (s *Scheduler) emit(ev Event) {
-	if len(s.subs) == 0 {
-		return
-	}
 	for sub := range s.subs {
 		select {
 		case sub.ch <- ev:
 		default:
 			sub.dropped++
 			s.eventsDropped++
-			s.obs().Reg().Counter("proteus_sched_events_dropped_total",
-				"scheduler events lost to a slow subscriber").Inc()
+			s.eventsDroppedCounter().Inc()
 		}
 	}
 }
 
 // emitJob records a job lifecycle transition twice from one call: as an
-// instant child span in the job's causal trace, and as an Event on the
-// subscription stream annotated with that span's identity — so an SSE
-// consumer can jump from any event straight to the span that recorded it.
+// instant child span in the job's causal trace, and — when anyone is
+// subscribed — as an Event on the subscription stream annotated with
+// that span's identity, so an SSE consumer can jump from any event
+// straight to the span that recorded it.
 func (s *Scheduler) emitJob(kind string, j *jobRun, detail string) {
 	ref := j.span.Eventf("sched", kind, "%s", detail)
+	if len(s.subs) == 0 {
+		return
+	}
 	s.emit(Event{
 		Kind:    kind,
 		At:      s.eng.Now() - s.startAt,
@@ -135,7 +140,10 @@ func (s *Scheduler) emitJob(kind string, j *jobRun, detail string) {
 }
 
 func (s *Scheduler) emitTimeline(p UtilPoint) {
-	util := p
+	if len(s.subs) == 0 {
+		return
+	}
+	util := p // the heap copy the event points at, made only for a reader
 	s.emit(Event{Kind: EventTimeline, At: p.At, JobID: -1, Util: &util})
 }
 

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -28,17 +29,19 @@ type ShareRequest struct {
 // returned slice is parallel to reqs; entries may exceed availability
 // intent-wise but their sum must not exceed total. Implementations must
 // be deterministic in their inputs.
+//
+// The three policies here sort indexes into reqs and compare the
+// requests in place. Job IDs are unique and every comparator ends on
+// them, so each is a total order and the unstable sort has exactly one
+// result.
 type Policy interface {
 	Name() string
 	Shares(now time.Duration, reqs []ShareRequest, total int) []int
 }
 
-func weight(r ShareRequest) int {
-	w := r.Priority + 1
-	if w < 1 {
-		w = 1
-	}
-	return w
+// weight is a job's fair-share weight: priority+1, at least 1.
+func weight(priority int) int {
+	return max(priority+1, 1)
 }
 
 // FairShare divides cores proportionally to priority weight
@@ -58,7 +61,7 @@ func (FairShare) Shares(_ time.Duration, reqs []ShareRequest, total int) []int {
 	sumW := 0
 	for _, r := range reqs {
 		if r.MaxCores > 0 {
-			sumW += weight(r)
+			sumW += weight(r.Priority)
 		}
 	}
 	if sumW == 0 {
@@ -69,7 +72,7 @@ func (FairShare) Shares(_ time.Duration, reqs []ShareRequest, total int) []int {
 		if r.MaxCores <= 0 {
 			continue
 		}
-		out[i] = total * weight(r) / sumW
+		out[i] = total * weight(r.Priority) / sumW
 		if out[i] > r.MaxCores {
 			out[i] = r.MaxCores
 		}
@@ -81,12 +84,12 @@ func (FairShare) Shares(_ time.Duration, reqs []ShareRequest, total int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if weight(ra) != weight(rb) {
-			return weight(ra) > weight(rb)
+	slices.SortFunc(order, func(x, y int) int {
+		a, b := &reqs[x], &reqs[y]
+		if wa, wb := weight(a.Priority), weight(b.Priority); wa != wb {
+			return cmp.Compare(wb, wa)
 		}
-		return ra.ID < rb.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	for given < total {
 		progressed := false
@@ -122,15 +125,15 @@ func (CostGreedy) Shares(_ time.Duration, reqs []ShareRequest, total int) []int 
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.RemainingWork != rb.RemainingWork {
-			return ra.RemainingWork < rb.RemainingWork
+	slices.SortFunc(order, func(x, y int) int {
+		a, b := &reqs[x], &reqs[y]
+		if a.RemainingWork != b.RemainingWork {
+			return cmp.Compare(a.RemainingWork, b.RemainingWork)
 		}
-		if ra.Priority != rb.Priority {
-			return ra.Priority > rb.Priority
+		if a.Priority != b.Priority {
+			return cmp.Compare(b.Priority, a.Priority)
 		}
-		return ra.ID < rb.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	rem := total
 	for _, i := range order {
@@ -164,12 +167,12 @@ func (DeadlineFirst) Shares(now time.Duration, reqs []ShareRequest, total int) [
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Deadline != rb.Deadline {
-			return ra.Deadline < rb.Deadline
+	slices.SortFunc(order, func(x, y int) int {
+		a, b := &reqs[x], &reqs[y]
+		if a.Deadline != b.Deadline {
+			return cmp.Compare(a.Deadline, b.Deadline)
 		}
-		return ra.ID < rb.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	rem := total
 	for _, i := range order {

@@ -148,7 +148,7 @@ func refFairShare(reqs []ShareRequest, total int) []int {
 	sumW := 0
 	for _, r := range reqs {
 		if r.MaxCores > 0 {
-			sumW += weight(r)
+			sumW += weight(r.Priority)
 		}
 	}
 	if sumW == 0 {
@@ -159,7 +159,7 @@ func refFairShare(reqs []ShareRequest, total int) []int {
 		if r.MaxCores <= 0 {
 			continue
 		}
-		out[i] = total * weight(r) / sumW
+		out[i] = total * weight(r.Priority) / sumW
 		if out[i] > r.MaxCores {
 			out[i] = r.MaxCores
 		}
@@ -167,8 +167,8 @@ func refFairShare(reqs []ShareRequest, total int) []int {
 	}
 	order := refOrder(len(reqs), nil, func(a, b int) bool {
 		ra, rb := reqs[a], reqs[b]
-		if weight(ra) != weight(rb) {
-			return weight(ra) > weight(rb)
+		if weight(ra.Priority) != weight(rb.Priority) {
+			return weight(ra.Priority) > weight(rb.Priority)
 		}
 		return ra.ID < rb.ID
 	})

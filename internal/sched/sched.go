@@ -473,8 +473,22 @@ type instruments struct {
 		queued, running, leased, idle *obs.Gauge
 		done                          bool
 	}
-	rebalances map[string]*obs.Counter // by cause
-	jobs       map[string]*obs.Counter // by state
+	rebalances    map[string]*obs.Counter // by cause
+	jobs          map[string]*obs.Counter // by state
+	eventsDropped struct {
+		c    *obs.Counter
+		done bool
+	}
+}
+
+func (s *Scheduler) eventsDroppedCounter() *obs.Counter {
+	m := &s.inst.eventsDropped
+	if !m.done {
+		m.c = s.obs().Reg().Counter("proteus_sched_events_dropped_total",
+			"scheduler events lost to a slow subscriber")
+		m.done = true
+	}
+	return m.c
 }
 
 func (s *Scheduler) jobCounter(state string) *obs.Counter {

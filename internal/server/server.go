@@ -95,8 +95,9 @@ func New(cfg Config) (*Server, error) {
 	// One scheduler subscription feeds every SSE connection through the
 	// hub: each event is encoded once and fanned out, instead of each
 	// connection paying its own subscription and json.Marshal. The hub
-	// buffer is sized up from the per-connection buffer — it absorbs the
-	// full event stream, not one viewer's slice of it.
+	// holds it only while a connection is attached. The hub buffer is
+	// sized up from the per-connection buffer — it absorbs the full event
+	// stream, not one viewer's slice of it.
 	hubBuf := cfg.EventBuffer
 	if hubBuf < hubSubBuffer {
 		hubBuf = hubSubBuffer
@@ -105,7 +106,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Observer != nil {
 		reg = cfg.Observer.Reg()
 	}
-	s.hub = NewHub(cfg.Scheduler.Subscribe(hubBuf), reg)
+	s.hub = NewHub(func() *sched.Subscription { return s.sched.Subscribe(hubBuf) }, reg)
 	s.routes()
 	return s, nil
 }

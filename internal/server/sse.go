@@ -50,23 +50,30 @@ type HubConn struct {
 // connection holds a few KB of pointers, not the event history.
 const hubConnBuffer = 256
 
-// Hub fans the scheduler event stream out to SSE connections. Built
-// attached (NewHub with a subscription: a pump goroutine drains it) or
-// detached (nil subscription: the caller drives Dispatch directly —
-// tests and benchmarks).
+// Hub fans the scheduler event stream out to SSE connections. It is
+// idle while no connection is attached — it holds no scheduler
+// subscription, so the scheduler builds and sends nothing — and attached
+// from its first connection to its last: the first attach subscribes and
+// starts a pump goroutine draining that subscription, the last detach
+// closes it. A hub built without a subscribe function is detached for
+// good: the caller drives Dispatch directly (tests and benchmarks).
 type Hub struct {
-	reg *obs.Registry
-	sub *sched.Subscription
+	reg       *obs.Registry
+	subscribe func() *sched.Subscription
 
 	mu     sync.Mutex
 	conns  map[*HubConn]struct{}
 	closed bool
-	done   chan struct{}
+	// sub is the live scheduler subscription, nil while idle. A pump
+	// whose subscription is no longer this one discards what it drains:
+	// those events predate every connection now attached.
+	sub   *sched.Subscription
+	pumps sync.WaitGroup
 
-	// Encoding scratch, used only by the dispatch goroutine: one buffer
-	// and encoder for the hub's lifetime, and a wire struct whose
-	// pointer fields target hub-owned storage so a dispatch allocates
-	// the owned frame copy and nothing else.
+	// Encoding scratch, guarded by mu: one buffer and encoder for the
+	// hub's lifetime, and a wire struct whose pointer fields target
+	// hub-owned storage so a dispatch allocates the owned frame copy and
+	// nothing else.
 	buf   bytes.Buffer
 	enc   *json.Encoder
 	wire  Event
@@ -74,22 +81,17 @@ type Hub struct {
 	util  UtilPoint
 }
 
-// NewHub builds a hub. sub, when non-nil, is drained by a pump goroutine
-// until it closes (the hub owns it from here; Close closes it). reg,
-// when non-nil, receives the proteus_api_sse_* fan-out metrics.
-func NewHub(sub *sched.Subscription, reg *obs.Registry) *Hub {
+// NewHub builds an idle hub. subscribe, when non-nil, is called on every
+// idle → attached transition for the scheduler subscription to drain;
+// the hub closes it on the way back to idle and on Close. reg, when
+// non-nil, receives the proteus_api_sse_* fan-out metrics.
+func NewHub(subscribe func() *sched.Subscription, reg *obs.Registry) *Hub {
 	h := &Hub{
-		reg:   reg,
-		sub:   sub,
-		conns: make(map[*HubConn]struct{}),
-		done:  make(chan struct{}),
+		reg:       reg,
+		subscribe: subscribe,
+		conns:     make(map[*HubConn]struct{}),
 	}
 	h.enc = json.NewEncoder(&h.buf)
-	if sub != nil {
-		go h.pump()
-	} else {
-		close(h.done)
-	}
 	return h
 }
 
@@ -98,10 +100,11 @@ func NewHub(sub *sched.Subscription, reg *obs.Registry) *Hub {
 // batch scratch stays cache-resident.
 const maxDispatchBatch = 64
 
-func (h *Hub) pump() {
-	defer close(h.done)
+// pump drains one subscription until the hub closes it.
+func (h *Hub) pump(sub *sched.Subscription) {
+	defer h.pumps.Done()
 	batch := make([]sched.Event, 0, maxDispatchBatch)
-	for ev := range h.sub.C {
+	for ev := range sub.C {
 		// Opportunistic batching: drain whatever the scheduler already
 		// queued so a burst dispatches as one walk over the connections
 		// (and consecutive timeline samples as one pre-framed write)
@@ -111,41 +114,38 @@ func (h *Hub) pump() {
 	drain:
 		for len(batch) < maxDispatchBatch {
 			select {
-			case ev2, ok := <-h.sub.C:
+			case ev2, ok := <-sub.C:
 				if !ok {
-					h.DispatchBatch(batch)
-					h.closeConns()
-					return
+					break drain
 				}
 				batch = append(batch, ev2)
 			default:
 				break drain
 			}
 		}
-		h.DispatchBatch(batch)
+		h.mu.Lock()
+		if h.sub == sub {
+			h.dispatchBatchLocked(batch)
+		}
+		h.mu.Unlock()
 	}
-	// Subscription closed under the scheduler: shut the connections down
-	// so their streams end instead of idling on heartbeats.
-	h.closeConns()
 }
 
-// Close shuts the hub down: the scheduler subscription closes, the pump
-// drains, and every connection's channel closes. Idempotent.
+// Close shuts the hub down: the scheduler subscription (if any) closes,
+// the pump delivers what the scheduler had already emitted — so a stream
+// ends with its last events, not before them — and every connection's
+// channel closes. Idempotent.
 func (h *Hub) Close() {
+	h.mu.Lock()
+	h.closed = true
 	if h.sub != nil {
 		h.sub.Close()
-		<-h.done
 	}
-	h.closeConns()
-}
-
-func (h *Hub) closeConns() {
+	h.mu.Unlock()
+	h.pumps.Wait()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
+	h.sub = nil
 	for c := range h.conns {
 		close(c.ch)
 		delete(h.conns, c)
@@ -174,6 +174,13 @@ func (h *Hub) attach(c *HubConn, buffer int) *HubConn {
 	if h.closed {
 		return nil
 	}
+	if len(h.conns) == 0 && h.subscribe != nil {
+		// Subscribed before attach returns, so before the handler reads
+		// the state it reports first: no transition falls in between.
+		h.sub = h.subscribe()
+		h.pumps.Add(1)
+		go h.pump(h.sub)
+	}
 	h.conns[c] = struct{}{}
 	return c
 }
@@ -191,6 +198,13 @@ func (h *Hub) Detach(c *HubConn) {
 	}
 	delete(h.conns, c)
 	close(c.ch)
+	if len(h.conns) == 0 && h.sub != nil {
+		// Idle again. Closing the subscription takes the scheduler's lock
+		// under h.mu; the scheduler never waits on the hub — it sends
+		// without blocking and calls nothing here — so the order is safe.
+		h.sub.Close()
+		h.sub = nil
+	}
 }
 
 // Dropped reports frames this connection lost to a full buffer.
@@ -208,9 +222,15 @@ func (c *HubConn) Dropped() int {
 // changes only the cost: one encode pass, one channel send, and one
 // buffer slot per run instead of per sample.
 func (h *Hub) DispatchBatch(evs []sched.Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dispatchBatchLocked(evs)
+}
+
+func (h *Hub) dispatchBatchLocked(evs []sched.Event) {
 	for i := 0; i < len(evs); {
 		if evs[i].Kind != sched.EventTimeline {
-			h.Dispatch(evs[i])
+			h.dispatchLocked(evs[i])
 			i++
 			continue
 		}
@@ -218,20 +238,19 @@ func (h *Hub) DispatchBatch(evs []sched.Event) {
 		for j < len(evs) && evs[j].Kind == sched.EventTimeline {
 			j++
 		}
-		h.dispatchTimeline(evs[i:j])
+		h.dispatchTimelineLocked(evs[i:j])
 		i = j
 	}
 }
 
-// dispatchTimeline fans a run of timeline samples out as one frame
+// dispatchTimelineLocked fans a run of timeline samples out as one frame
 // holding their concatenated wire frames. The frame's At is the last
 // sample's instant: the replay-dedup cursor skips the whole frame only
 // when every sample in it was already replayed (the scheduler emits a
 // point exactly once, so a frame straddling the replay boundary — a
 // harmless duplicate point for that one viewer — needs a race to
 // produce).
-func (h *Hub) dispatchTimeline(evs []sched.Event) {
-	h.mu.Lock()
+func (h *Hub) dispatchTimelineLocked(evs []sched.Event) {
 	interested := 0
 	for c := range h.conns {
 		if c.wantTL {
@@ -239,7 +258,6 @@ func (h *Hub) dispatchTimeline(evs []sched.Event) {
 		}
 	}
 	if interested == 0 {
-		h.mu.Unlock()
 		return
 	}
 	h.buf.Reset()
@@ -261,48 +279,42 @@ func (h *Hub) dispatchTimeline(evs []sched.Event) {
 		n++
 	}
 	if n == 0 {
-		h.mu.Unlock()
 		return
 	}
-	fr := Frame{At: lastAt, Data: append([]byte(nil), h.buf.Bytes()...)}
-	dropped := 0
-	for c := range h.conns {
-		if c.wantTL {
-			select {
-			case c.ch <- fr:
-			default:
-				c.dropped.Add(1)
-				dropped++
-			}
-		}
-	}
-	h.mu.Unlock()
-	if dropped > 0 {
-		h.reg.Counter("proteus_api_sse_dropped_total",
-			"SSE frames dropped on slow consumers").Add(float64(dropped))
-	}
+	h.fanOutLocked(Frame{At: lastAt, Data: append([]byte(nil), h.buf.Bytes()...)},
+		func(c *HubConn) bool { return c.wantTL })
 }
 
 // Dispatch encodes the event once and fans the frame out to every
 // interested connection, never blocking: a full connection buffer
 // increments the drop counters and moves on, so one stalled viewer
 // cannot delay the stream, the other viewers, or — transitively — the
-// scheduler's decision loop. Called from the pump goroutine (or the
-// owner of a detached hub); not safe for concurrent Dispatch calls.
+// scheduler's decision loop. Called by the owner of a detached hub; an
+// attached hub's pump dispatches under the same lock.
 func (h *Hub) Dispatch(ev sched.Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dispatchLocked(ev)
+}
+
+func (h *Hub) dispatchLocked(ev sched.Event) {
 	timeline := ev.Kind == sched.EventTimeline
 	if timeline && ev.Util == nil {
 		return // nothing to plot; the old per-conn loop skipped these too
 	}
-	h.mu.Lock()
+	wants := func(c *HubConn) bool {
+		if timeline {
+			return c.wantTL
+		}
+		return !c.wantTL && c.jobID == ev.JobID
+	}
 	interested := 0
 	for c := range h.conns {
-		if (timeline && c.wantTL) || (!timeline && !c.wantTL && c.jobID == ev.JobID) {
+		if wants(c) {
 			interested++
 		}
 	}
 	if interested == 0 {
-		h.mu.Unlock()
 		return
 	}
 	fr := Frame{At: ev.At, Data: h.encodeFrame(ev)}
@@ -312,9 +324,15 @@ func (h *Hub) Dispatch(ev sched.Event) {
 	} else {
 		fr.Terminal = ev.Kind == sched.EventDone || ev.Kind == sched.EventExpired
 	}
+	h.fanOutLocked(fr, wants)
+}
+
+// fanOutLocked hands the frame to every connection that wants it,
+// dropping it for those whose buffer is full.
+func (h *Hub) fanOutLocked(fr Frame, wants func(*HubConn) bool) {
 	dropped := 0
 	for c := range h.conns {
-		if (timeline && c.wantTL) || (!timeline && !c.wantTL && c.jobID == ev.JobID) {
+		if wants(c) {
 			select {
 			case c.ch <- fr:
 			default:
@@ -323,7 +341,6 @@ func (h *Hub) Dispatch(ev sched.Event) {
 			}
 		}
 	}
-	h.mu.Unlock()
 	if dropped > 0 {
 		h.reg.Counter("proteus_api_sse_dropped_total",
 			"SSE frames dropped on slow consumers").Add(float64(dropped))

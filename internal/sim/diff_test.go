@@ -182,9 +182,12 @@ type program struct {
 	log    []firing
 	budget int // events still allowed to be scheduled
 	nextID int
+	live   int // events scheduled and neither fired nor canceled
+	// pending, when set, must agree with live between driver steps.
+	pending func() int
 
 	handles []*progHandle
-	tickers []stopper
+	tickers []*progTicker
 }
 
 // progHandle is the script's own record of a cancelable event.
@@ -215,8 +218,10 @@ func (p *program) schedule() {
 	p.budget--
 	name := p.name("e")
 	h := &progHandle{at: p.api.Now() + p.delay(), id: p.nextID}
+	p.live++
 	h.c = p.api.at(h.at, name, func() {
 		h.dead = true
+		p.live--
 		p.fire(name)
 		h.c.Cancel() // canceling the event that is firing is a no-op
 	})
@@ -229,7 +234,11 @@ func (p *program) scheduleTransient() {
 	}
 	p.budget--
 	name := p.name("t")
-	p.api.atTransient(p.api.Now()+p.delay(), name, func() { p.fire(name) })
+	p.live++
+	p.api.atTransient(p.api.Now()+p.delay(), name, func() {
+		p.live--
+		p.fire(name)
+	})
 }
 
 // startTicker arms a ticker that stops itself from inside its own tick
@@ -242,8 +251,8 @@ func (p *program) startTicker() {
 	p.budget--
 	name := p.name("k")
 	left := 1 + p.rng.Intn(4)
-	var tk stopper
-	tk = p.api.every(time.Duration(1+p.rng.Intn(5))*progUnit, name, func() {
+	tk := &progTicker{p: p}
+	tk.s = p.api.every(time.Duration(1+p.rng.Intn(5))*progUnit, name, func() {
 		p.fire(name)
 		if left--; left == 0 {
 			tk.Stop()
@@ -253,7 +262,34 @@ func (p *program) startTicker() {
 			}
 		}
 	})
+	p.live++
 	p.tickers = append(p.tickers, tk)
+}
+
+// progTicker counts a running ticker as one live event: between ticks
+// its next tick is queued, and stopping it — from its own tick or from
+// outside — takes exactly that one away.
+type progTicker struct {
+	p       *program
+	s       stopper
+	stopped bool
+}
+
+func (t *progTicker) Stop() {
+	if !t.stopped {
+		t.stopped = true
+		t.p.live--
+	}
+	t.s.Stop()
+}
+
+// cancel cancels a handle, which may have fired or been canceled before.
+func (p *program) cancel(h *progHandle) {
+	if !h.dead {
+		h.dead = true
+		p.live--
+	}
+	h.c.Cancel()
 }
 
 // cancelRoot cancels the earliest event the script still believes
@@ -271,8 +307,7 @@ func (p *program) cancelRoot() {
 		}
 	}
 	if root != nil {
-		root.dead = true
-		root.c.Cancel()
+		p.cancel(root)
 	}
 }
 
@@ -297,9 +332,7 @@ func (p *program) mutate() {
 		// Any handle at all: pending, already fired, or already canceled
 		// (a double cancel).
 		if len(p.handles) > 0 {
-			h := p.handles[p.rng.Intn(len(p.handles))]
-			h.dead = true
-			h.c.Cancel()
+			p.cancel(p.handles[p.rng.Intn(len(p.handles))])
 		}
 	case 6:
 		p.cancelRoot()
@@ -344,6 +377,10 @@ func (p *program) run() []firing {
 		if p.rng.Intn(4) == 0 {
 			p.mutate()
 		}
+		if p.pending != nil && p.pending() != p.live {
+			p.log = append(p.log, firing{fmt.Sprintf("Pending()=%d with %d live events", p.pending(), p.live), p.api.Now()})
+			return p.log
+		}
 	}
 }
 
@@ -354,11 +391,14 @@ func (p *program) run() []firing {
 // from inside a callback, of an already-fired event, of the firing
 // event itself, double cancel, Ticker.Stop inside its own tick (twice)
 // with a successor armed in the same tick, Stop from outside, and cancel
-// of the queue's root while RunUntil is between peeks.
+// of the queue's root while RunUntil is between peeks. The engine's
+// Pending must also equal the script's own count of live events after
+// every driver step (the reference, being lazy, has no such number).
 func TestEngineMatchesLazySkipReference(t *testing.T) {
 	var fired uint64
 	for seed := int64(1); seed <= 300; seed++ {
-		real := &program{api: realEngine{NewEngine()}, rng: rand.New(rand.NewSource(seed)), budget: 300}
+		eng := NewEngine()
+		real := &program{api: realEngine{eng}, rng: rand.New(rand.NewSource(seed)), budget: 300, pending: eng.Pending}
 		ref := &program{api: &refEngine{}, rng: rand.New(rand.NewSource(seed)), budget: 300}
 		got, want := real.run(), ref.run()
 		for i := range want {

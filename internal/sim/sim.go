@@ -21,12 +21,17 @@ type Event struct {
 	seq  uint64
 	fn   func()
 	name string
-	// canceled events stay in the heap but are skipped when popped.
+	// eng is the engine whose queue holds the event, so Cancel can take
+	// it out at once.
+	eng *Engine
+	// index is the event's position in eng.events, -1 once it has fired
+	// or been canceled. 32 bits so the engine pointer costs the struct
+	// no extra word.
+	index    int32
 	canceled bool
 	// transient events were scheduled with AtTransient: no caller holds a
 	// handle, so the engine recycles the struct after the event fires.
 	transient bool
-	index     int
 }
 
 // At reports the virtual time this event fires at.
@@ -35,9 +40,17 @@ func (e *Event) At() time.Duration { return e.at }
 // Name reports the debugging label given at scheduling time.
 func (e *Event) Name() string { return e.name }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
+// Cancel prevents the event from firing and removes it from the queue
+// at once, so a canceled event costs the engine nothing from here on.
+// The firing order of the events that remain is untouched: it is the
+// total order (at, seq), whatever shape the heap is in. Canceling an
+// already-fired or already-canceled event is a no-op.
+func (e *Event) Cancel() {
+	e.canceled = true
+	if e.index >= 0 {
+		heap.Remove(&e.eng.events, int(e.index))
+	}
+}
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
@@ -53,12 +66,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
+	e.index = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -131,8 +144,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled (including canceled ones
-// that have not yet been skipped).
+// Pending reports how many events are scheduled to fire: a canceled
+// event stops counting the moment it is canceled.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -143,7 +156,7 @@ func (e *Engine) At(t time.Duration, name string, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.name = t, e.seq, fn, name
+	ev.at, ev.seq, ev.fn, ev.name, ev.eng = t, e.seq, fn, name, e
 	e.seq++
 	heap.Push(&e.events, ev)
 	return ev
@@ -158,7 +171,7 @@ func (e *Engine) AtTransient(t time.Duration, name string, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.name, ev.transient = t, e.seq, fn, name, true
+	ev.at, ev.seq, ev.fn, ev.name, ev.eng, ev.transient = t, e.seq, fn, name, e, true
 	e.seq++
 	heap.Push(&e.events, ev)
 }
@@ -193,43 +206,35 @@ func (e *Engine) Every(period time.Duration, name string, fn func()) *Ticker {
 	return t
 }
 
-// Next reports the virtual time of the earliest pending non-canceled
-// event without executing it. Canceled events at the head of the queue
-// are discarded as a side effect. It reports false when nothing is
+// Next reports the virtual time of the earliest pending event without
+// executing it or touching the queue. It reports false when nothing is
 // scheduled — a paced driver (e.g. sched.Scheduler.Serve) uses Next to
 // sleep on the wall clock until the virtual timeline is allowed to reach
 // the event.
 func (e *Engine) Next() (time.Duration, bool) {
-	for len(e.events) > 0 {
-		if e.events[0].canceled {
-			heap.Pop(&e.events)
-			continue
-		}
-		return e.events[0].at, true
+	if len(e.events) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.events[0].at, true
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		fn := ev.fn
-		if ev.transient {
-			// Recycle before running fn: no handle exists, and fn itself
-			// may schedule the event's successor into the freed struct.
-			e.recycle(ev)
-		}
-		fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.events).(*Event)
+	e.now = ev.at
+	e.fired++
+	fn := ev.fn
+	if ev.transient {
+		// Recycle before running fn: no handle exists, and fn itself
+		// may schedule the event's successor into the freed struct.
+		e.recycle(ev)
+	}
+	fn()
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -241,16 +246,9 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.events) > 0 {
-		// Peek: heap root is the earliest event.
-		next := e.events[0]
-		if next.canceled {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
+	// The heap root is the earliest event; a callback may cancel it, so
+	// it is read afresh on every turn.
+	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
