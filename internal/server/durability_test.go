@@ -237,3 +237,43 @@ func TestStatsReportRecovery(t *testing.T) {
 		t.Fatalf("stats WAL %+v, want the reopened log's counters", st.WAL)
 	}
 }
+
+// TestOversizeNameNotAcknowledged: a 200 KB name fits the body limit but
+// its WAL frame (encoding/json escapes '<' to six bytes) does not fit
+// what recovery reads. Such a job must never get a 202, and the WAL
+// directory must still recover afterwards.
+func TestOversizeNameNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	wlog, err := wal.Create(dir, wal.Meta{Seed: 614}, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+
+	eng, mkt, brain := testHarness(t, 614)
+	cfg := testConfig(brain, nil)
+	cfg.WAL = wlog
+	sc, err := sched.New(eng, mkt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Scheduler: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := `{"hours": 0.5, "name": "` + strings.Repeat("<", 200_000) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusAccepted {
+		t.Errorf("a job whose WAL frame recovery cannot read was acknowledged with 202")
+	}
+	if _, err := wal.Recover(dir); err != nil {
+		t.Fatalf("the WAL no longer recovers: %v", err)
+	}
+}

@@ -402,3 +402,38 @@ func TestFrameChecksum(t *testing.T) {
 		t.Fatal("bad checksum accepted")
 	}
 }
+
+// TestAcceptedFrameRecovers is the log's contract with its own reader:
+// every record Append accepts, Recover reads. The name is 200 KB of a
+// byte encoding/json escapes to six, so the frame is 1.2 MB — a log
+// holding it must either refuse the append or read the record back.
+func TestAcceptedFrameRecovers(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, testMeta(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob(0)
+	j.Name = strings.Repeat("<", 200_000)
+	want := 0
+	if _, err := l.Append(Record{Kind: KindSubmit, JobID: 0, Job: &j}); err == nil {
+		want = 1
+	}
+	// A refusal is not a failure of the log: later records still land.
+	if _, err := l.Append(Record{Kind: KindTick, JobID: -1}); err != nil {
+		t.Fatalf("append after the big record: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Recover(dir)
+	if err != nil {
+		t.Fatalf("the log cannot read what it wrote: %v", err)
+	}
+	if len(rep.Jobs) != want {
+		t.Fatalf("recovered %d submissions, want %d", len(rep.Jobs), want)
+	}
+	if want == 1 && rep.Jobs[0].Name != j.Name {
+		t.Fatal("recovered name differs")
+	}
+}
