@@ -20,7 +20,6 @@ import (
 
 	"proteus/internal/agileml"
 	"proteus/internal/experiments"
-	"proteus/internal/metrics"
 	"proteus/internal/obs"
 	"proteus/internal/perfmodel"
 )
@@ -86,7 +85,7 @@ func printBars(title string, bars []experiments.Bar) {
 	}
 	fmt.Printf("%-26s %18s\n", "configuration", "time/iter (sec)")
 	for _, b := range bars {
-		fmt.Printf("%-26s %18.2f  %s\n", b.Label, b.Value, metrics.AsciiBar(b.Value, max, 40))
+		fmt.Printf("%-26s %18.2f  %s\n", b.Label, b.Value, experiments.AsciiBar(b.Value, max, 40))
 	}
 }
 
@@ -126,7 +125,7 @@ func printFig16(seed int64, metricsOut, traceOut string) error {
 		}
 		fmt.Printf("%6d %10.2f %10d %8s %10.4f  %s%s\n",
 			p.Iteration, p.Seconds, p.Machines, p.Stage, p.Objective,
-			metrics.AsciiBar(p.Seconds, max, 30), marker)
+			experiments.AsciiBar(p.Seconds, max, 30), marker)
 	}
 	return obs.WriteFiles(o, metricsOut, traceOut)
 }

@@ -1,7 +1,7 @@
 // Command benchgate enforces the benchmark regression gate in CI: it
 // reads a `go test -json -bench` stream, extracts each benchmark's best
 // ns/op and allocs/op, and fails when a benchmark listed in the stored
-// baseline file has regressed beyond the threshold on either axis.
+// baseline file allocates more per op than the baseline allows.
 //
 // Usage:
 //
@@ -10,11 +10,14 @@
 //	benchgate -bench-json bench.json -baseline .github/bench_baseline.json -update
 //
 // The baseline file maps benchmark name (module-relative, no -N CPU
-// suffix) to {"ns_op": N, "allocs_op": M}; a bare number is accepted as
-// a legacy ns/op-only entry, so old baselines keep gating time without
-// alloc coverage. Only benchmarks present in the baseline are gated;
-// -update rewrites the baseline from the measured values (both axes)
-// instead of gating, for refreshing after an intentional change.
+// suffix) to {"ns_op": N, "allocs_op": M}. Only allocs/op is gated: it
+// is exact on any machine, while ns/op measures the box as much as the
+// code (the same commit reads 1.3x to 4.6x the baseline's ns/op on a
+// slower runner), so ns/op is printed next to its baseline as
+// information and never fails the gate. Only benchmarks present in the
+// baseline are gated; -update rewrites the baseline from the measured
+// values (both columns) instead of gating, for refreshing after an
+// intentional change.
 package main
 
 import (
@@ -52,9 +55,8 @@ type measurement struct {
 	AllocsOp float64
 }
 
-// entry is one baseline record. AllocsOp is a pointer so legacy ns-only
-// entries and benchmarks that never report allocations round-trip
-// without inventing a zero-alloc requirement.
+// entry is one baseline record. AllocsOp is a pointer so that an entry
+// without one is refused rather than read as a zero-alloc requirement.
 type entry struct {
 	NsOp     float64  `json:"ns_op"`
 	AllocsOp *float64 `json:"allocs_op,omitempty"`
@@ -126,29 +128,21 @@ func parseBench(path string) (map[string]measurement, error) {
 	return best, nil
 }
 
-// readBaseline parses the baseline file, accepting both the current
-// object schema and the legacy bare-number (ns/op only) form per entry.
+// readBaseline parses the baseline file. Every entry must carry the
+// gated column.
 func readBaseline(path string) (map[string]entry, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var loose map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &loose); err != nil {
+	var baseline map[string]entry
+	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
-	baseline := make(map[string]entry, len(loose))
-	for name, msg := range loose {
-		var e entry
-		if err := json.Unmarshal(msg, &e); err == nil {
-			baseline[name] = e
-			continue
+	for name, e := range baseline {
+		if e.AllocsOp == nil {
+			return nil, fmt.Errorf("parse %s: entry %q has no allocs_op, so nothing to gate", path, name)
 		}
-		var ns float64
-		if err := json.Unmarshal(msg, &ns); err != nil {
-			return nil, fmt.Errorf("parse %s: entry %q is neither an object nor a number", path, name)
-		}
-		baseline[name] = entry{NsOp: ns}
 	}
 	return baseline, nil
 }
@@ -158,7 +152,7 @@ func main() {
 	log.SetPrefix("benchgate: ")
 	benchJSON := flag.String("bench-json", "", "go test -json -bench output to check")
 	baselinePath := flag.String("baseline", "", "stored baseline JSON (benchmark name -> {ns_op, allocs_op})")
-	threshold := flag.Float64("threshold", 0.15, "allowed fractional regression over the baseline")
+	threshold := flag.Float64("threshold", 0.15, "allowed fractional allocs/op regression over the baseline")
 	update := flag.Bool("update", false, "rewrite the baseline from the measured values instead of gating")
 	flag.Parse()
 	if *benchJSON == "" || *baselinePath == "" {
@@ -176,12 +170,10 @@ func main() {
 	if *update {
 		out := make(map[string]entry, len(measured))
 		for name, m := range measured {
-			e := entry{NsOp: m.NsOp}
-			if m.AllocsOp >= 0 {
-				a := m.AllocsOp
-				e.AllocsOp = &a
+			if m.AllocsOp < 0 {
+				log.Fatalf("%s reported no allocs/op (missing -benchmem/ReportAllocs?)", name)
 			}
-			out[name] = e
+			out[name] = entry{NsOp: m.NsOp, AllocsOp: &m.AllocsOp}
 		}
 		enc, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
@@ -214,42 +206,29 @@ func main() {
 			failed = true
 			continue
 		}
-		ratio := got.NsOp/base.NsOp - 1
+		fmt.Printf("info %s: %.0f ns/op vs baseline %.0f (%+.1f%%, not gated)\n",
+			name, got.NsOp, base.NsOp, (got.NsOp/base.NsOp-1)*100)
+		if got.AllocsOp < 0 {
+			log.Printf("FAIL %s: the run reported no allocs/op (missing -benchmem/ReportAllocs?)", name)
+			failed = true
+			continue
+		}
+		// No ratio exists over a zero baseline: any allocation at all is
+		// the regression.
+		over, limit := got.AllocsOp > 0, "must stay 0"
+		if *base.AllocsOp > 0 {
+			ratio := got.AllocsOp / *base.AllocsOp - 1
+			over, limit = ratio > *threshold, fmt.Sprintf("%+.1f%%, limit +%.0f%%", ratio*100, *threshold*100)
+		}
 		status := "ok"
-		if ratio > *threshold {
+		if over {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%-4s %s: %.0f ns/op vs baseline %.0f (%+.1f%%, limit +%.0f%%)\n",
-			status, name, got.NsOp, base.NsOp, ratio*100, *threshold*100)
-		if base.AllocsOp == nil {
-			continue
-		}
-		switch {
-		case got.AllocsOp < 0:
-			log.Printf("FAIL %s: baseline gates allocs/op but the run reported none (missing -benchmem/ReportAllocs?)", name)
-			failed = true
-		case *base.AllocsOp == 0:
-			// No ratio exists over a zero baseline: any allocation at
-			// all is the regression.
-			st := "ok"
-			if got.AllocsOp > 0 {
-				st = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%-4s %s: %.0f allocs/op vs baseline 0 (must stay 0)\n", st, name, got.AllocsOp)
-		default:
-			aratio := got.AllocsOp / *base.AllocsOp - 1
-			st := "ok"
-			if aratio > *threshold {
-				st = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%-4s %s: %.0f allocs/op vs baseline %.0f (%+.1f%%, limit +%.0f%%)\n",
-				st, name, got.AllocsOp, *base.AllocsOp, aratio*100, *threshold*100)
-		}
+		fmt.Printf("%-4s %s: %.0f allocs/op vs baseline %.0f (%s)\n",
+			status, name, got.AllocsOp, *base.AllocsOp, limit)
 	}
 	if failed {
-		log.Fatalf("benchmark regression gate failed (threshold %.0f%%)", *threshold*100)
+		log.Fatalf("benchmark regression gate failed (allocs/op threshold %.0f%%)", *threshold*100)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"proteus/cmd/internal/prof"
 	"proteus/internal/experiments"
-	"proteus/internal/metrics"
 	"proteus/internal/obs"
 )
 
@@ -117,7 +116,7 @@ func printCostFig(cfg experiments.MarketConfig, fig int, hours float64, samples 
 	for _, a := range avgs {
 		fmt.Printf("%-22s %15.1f%% %14.2f %12.1f  %s\n",
 			a.Scheme, a.CostPercentOD, a.Runtime.Hours(), a.Evictions,
-			metrics.AsciiBar(a.CostPercentOD, 100, 30))
+			experiments.AsciiBar(a.CostPercentOD, 100, 30))
 		switch a.Scheme {
 		case experiments.SchemeOnDemand:
 			od = a

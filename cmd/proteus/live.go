@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"proteus/internal/core"
 	"proteus/internal/dataset"
 	"proteus/internal/experiments"
-	"proteus/internal/journal"
 	"proteus/internal/ml/mf"
 	"proteus/internal/obs"
 	"proteus/internal/perfmodel"
@@ -20,12 +20,11 @@ import (
 
 // buildLiveConfig assembles the standard full-stack job: a real MF model
 // training on machines BidBrain acquires from the simulated market.
-func buildLiveConfig(seed int64, iterations int, jl *journal.Journal, o *obs.Observer) core.LiveConfig {
+func buildLiveConfig(seed int64, iterations int, o *obs.Observer) core.LiveConfig {
 	data := dataset.GenerateMF(dataset.MFConfig{
 		Users: 120, Items: 90, Rank: 5, Observed: 2000, Noise: 0.02,
 	}, seed)
 	return core.LiveConfig{
-		Journal:          jl,
 		Observer:         o,
 		App:              mf.New(mf.DefaultConfig(5), data),
 		Iterations:       iterations,
@@ -40,35 +39,49 @@ func buildLiveConfig(seed int64, iterations int, jl *journal.Journal, o *obs.Obs
 	}
 }
 
-// instrumentEnv binds the observer to a freshly built environment: the
-// engine clock stamps metrics and spans, the engine's queue is sampled,
-// and the journal subscribes to the span stream so trace and narrative
-// stay in one-to-one agreement.
-func instrumentEnv(env *experiments.Env, o *obs.Observer, jl *journal.Journal) {
-	if o == nil {
-		return
-	}
-	o.SetClock(env.Engine.Now)
-	sim.InstrumentEngine(o.Reg(), env.Engine, time.Minute)
-	obs.BridgeJournal(o.Trace(), jl)
-}
-
-// runLive executes the full-stack Proteus run: a real MF model trains on
-// machines BidBrain acquires from the simulated market, with eviction
-// warnings flowing through the AgileML elasticity controller.
-func runLive(ctx context.Context, cfg experiments.MarketConfig, iterations int, o *obs.Observer, oo obsOutputs) error {
+// liveRun executes one full-stack pass under the observer: the engine
+// clock stamps metrics and spans, the engine's queue is sampled, and a
+// real MF model trains on machines BidBrain acquires from the simulated
+// market, with eviction warnings flowing through the AgileML elasticity
+// controller. The cost simulation runs it once, quietly, before
+// exporting: on its own it never touches the AgileML or parameter-server
+// layers, so the exports would miss those metric families and spans.
+func liveRun(cfg experiments.MarketConfig, iterations int, o *obs.Observer) (core.LiveResult, error) {
 	cfg.Observer = o
 	env, err := experiments.NewEnv(cfg, defaultParams())
 	if err != nil {
-		return err
+		return core.LiveResult{}, err
 	}
-	jl := journal.New(env.Engine.Now)
-	instrumentEnv(env, o, jl)
+	o.SetClock(env.Engine.Now)
+	sim.InstrumentEngine(o.Reg(), env.Engine, time.Minute)
+	return core.RunLive(env.Engine, env.Market, env.Brain, buildLiveConfig(cfg.Seed, iterations, o))
+}
+
+// writeNarrative prints the run's decisions: one line per finished span,
+// in completion order, stamped with the span's end. The parameter-server
+// layer's per-partition spans are left to -trace-out; every other line
+// of that file appears here, in the same order.
+func writeNarrative(w io.Writer, spans []obs.SpanData) error {
+	for _, sp := range spans {
+		if sp.Component == "ps" {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "%10s  %-8s  %-16s  %s\n",
+			sp.End.Round(time.Second), sp.Component, sp.Name, sp.Detail); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runLive prints the full-stack run: its result, then the decisions that
+// led there, read from the observer's span stream.
+func runLive(ctx context.Context, cfg experiments.MarketConfig, iterations int, o *obs.Observer, oo obsOutputs) error {
 	httpDone, err := oo.serve(ctx, o)
 	if err != nil {
 		return err
 	}
-	res, err := core.RunLive(env.Engine, env.Market, env.Brain, buildLiveConfig(cfg.Seed, iterations, jl, o))
+	res, err := liveRun(cfg, iterations, o)
 	if err != nil {
 		return err
 	}
@@ -82,38 +95,20 @@ func runLive(ctx context.Context, cfg experiments.MarketConfig, iterations int, 
 		}
 		fmt.Printf("%6d %10.1f %10d %8s\n", p.Iteration, p.Seconds, p.Machines, p.Stage)
 	}
-	fmt.Println("\ndecision journal:")
-	if _, err := jl.WriteTo(os.Stdout); err != nil {
+	fmt.Println("\ndecision narrative:")
+	if err := writeNarrative(os.Stdout, o.Trace().Spans()); err != nil {
 		return err
 	}
-	if o != nil {
-		if err := oo.write(o); err != nil {
+	if err := oo.write(o); err != nil {
+		return err
+	}
+	if httpDone != nil {
+		log.Printf("metrics server stays up until ctrl-c")
+		if err := <-httpDone; err != nil {
 			return err
-		}
-		if httpDone != nil {
-			log.Printf("metrics server stays up until ctrl-c")
-			if err := <-httpDone; err != nil {
-				return err
-			}
 		}
 	}
 	return nil
-}
-
-// runQuietLive runs one full-stack pass purely to populate the observer:
-// the cost simulation alone never touches the AgileML or parameter-server
-// layers, so exports from a non-live run would miss those metric families
-// and the trace would carry no elasticity spans.
-func runQuietLive(cfg experiments.MarketConfig, iterations int, o *obs.Observer) error {
-	cfg.Observer = o
-	env, err := experiments.NewEnv(cfg, defaultParams())
-	if err != nil {
-		return err
-	}
-	jl := journal.New(env.Engine.Now)
-	instrumentEnv(env, o, jl)
-	_, err = core.RunLive(env.Engine, env.Market, env.Brain, buildLiveConfig(cfg.Seed, iterations, jl, o))
-	return err
 }
 
 // defaultParams returns the default BidBrain parameters (helper keeps

@@ -99,7 +99,7 @@ func main() {
 
 	oo := obsOutputs{metricsOut: *metricsOut, traceOut: *traceOut, metricsAddr: *metricsAddr}
 	var o *obs.Observer
-	if oo.enabled() || *serve || *slo {
+	if oo.enabled() || *serve || *slo || *live {
 		o = obs.NewObserver(nil)
 	}
 	cfg.Observer = o
@@ -208,7 +208,7 @@ func main() {
 		// The cost simulation exercises only the market and BidBrain; one
 		// quiet full-stack pass fills in the agileml, ps, core, and sim
 		// metric families and the elasticity span trace.
-		if err := runQuietLive(cfg, *iterations, o); err != nil {
+		if _, err := liveRun(cfg, *iterations, o); err != nil {
 			log.Fatal(err)
 		}
 		if err := oo.write(o); err != nil {

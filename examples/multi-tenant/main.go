@@ -20,7 +20,6 @@ import (
 	"proteus/internal/bidbrain"
 	"proteus/internal/core"
 	"proteus/internal/experiments"
-	"proteus/internal/metrics"
 	"proteus/internal/sched"
 )
 
@@ -98,7 +97,7 @@ func main() {
 		}
 		fmt.Printf("%5.0fh %4d cores %2d running %2d queued  %s\n",
 			at.Hours(), sample.LeasedCores, sample.Running, sample.Queued,
-			metrics.AsciiBar(float64(sample.LeasedCores), float64(maxCores), 32))
+			experiments.AsciiBar(float64(sample.LeasedCores), float64(maxCores), 32))
 	}
 
 	fmt.Printf("\nconcurrent bill: $%.2f net, makespan %.1fh, %d rebalances, %.1f free machine-hours\n",

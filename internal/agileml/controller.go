@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
-	"proteus/internal/journal"
 	"proteus/internal/obs"
 	"proteus/internal/ps"
 	"proteus/internal/transport"
@@ -54,14 +53,9 @@ type Config struct {
 	// Controller.Close when done to release the fabric endpoints.
 	Network *transport.Network
 
-	// Journal, when set, records the controller's elasticity decisions
-	// (stage transitions, membership changes, recoveries).
-	Journal *journal.Journal
-
-	// Observer receives AgileML metrics and elasticity spans. When its
-	// tracer is set, controller events flow through the tracer INSTEAD of
-	// the Journal; bridge the two with obs.BridgeJournal so the journal
-	// sees the same event stream (and exactly once).
+	// Observer receives AgileML metrics and elasticity spans. Its tracer
+	// is the only record of the controller's decisions (stage
+	// transitions, membership changes, recoveries).
 	Observer *obs.Observer
 
 	// TraceParent, when set, is the owning job's span in Observer's
@@ -144,22 +138,15 @@ type Controller struct {
 	recoveries       int
 }
 
-// log records a controller event. With a tracer configured the event goes
-// through it alone — the journal, if any, is expected to subscribe via
-// obs.BridgeJournal, which keeps trace spans and journal records
-// one-to-one. Without a tracer the journal is written directly.
+// log records a controller event as an instant span: under the owning
+// job's span when there is one, flat otherwise. Without a tracer it is a
+// no-op.
 func (c *Controller) log(kind, detail string, args ...any) {
-	if t := c.cfg.Observer.Trace(); t != nil {
-		if c.cfg.TraceParent != nil {
-			c.cfg.TraceParent.Eventf("agileml", kind, detail, args...)
-		} else {
-			t.Event("agileml", kind, detail, args...)
-		}
+	if c.cfg.TraceParent != nil {
+		c.cfg.TraceParent.Eventf("agileml", kind, detail, args...)
 		return
 	}
-	if c.cfg.Journal != nil {
-		c.cfg.Journal.Record("agileml", kind, detail, args...)
-	}
+	c.cfg.Observer.Trace().Event("agileml", kind, detail, args...)
 }
 
 // newServer creates a parameter server wired to the job's metric set.

@@ -7,7 +7,6 @@ import (
 	"proteus/internal/agileml"
 	"proteus/internal/bidbrain"
 	"proteus/internal/cluster"
-	"proteus/internal/journal"
 	"proteus/internal/market"
 	"proteus/internal/obs"
 	"proteus/internal/perfmodel"
@@ -39,13 +38,11 @@ type LiveConfig struct {
 	Cluster  perfmodel.Cluster
 	// Staleness is the SSP bound for the parameter-server clients.
 	Staleness int
-	// Journal, when set, records BidBrain and AgileML decisions.
-	Journal *journal.Journal
 	// Observer, when set, instruments the whole stack: it is installed on
 	// the Brain and the AgileML controller, and core-level iteration
-	// metrics are recorded. With a tracer configured, component events
-	// flow through the tracer alone; bridge the journal with
-	// obs.BridgeJournal so it sees the same stream.
+	// metrics are recorded. Its tracer is the record of the run's
+	// decisions (acquisitions, refunds, elasticity transitions); without
+	// one, none is kept.
 	Observer *obs.Observer
 	// TraceSeed roots the run's deterministic trace ID
 	// (obs.NewTraceID(TraceSeed, 0)): with a tracer configured, the whole
@@ -171,7 +168,6 @@ func RunLive(eng *sim.Engine, mkt *market.Market, brain *bidbrain.Brain, cfg Liv
 		App:         cfg.App,
 		MaxMachines: maxMachines,
 		Staleness:   cfg.Staleness,
-		Journal:     cfg.Journal,
 		Observer:    cfg.Observer,
 		TraceParent: j.span,
 	}, relMachines)
@@ -294,18 +290,6 @@ func (j *liveJob) scheduleIteration(blip bool) {
 	})
 }
 
-// record appends to the configured journal, if any. With a tracer
-// active the components themselves emit richer events through it (and
-// the journal is bridged), so direct records would duplicate them.
-func (j *liveJob) record(component, kind, detail string, args ...any) {
-	if j.cfg.Observer.Trace() != nil {
-		return
-	}
-	if j.cfg.Journal != nil {
-		j.cfg.Journal.Record(component, kind, detail, args...)
-	}
-}
-
 func (j *liveJob) fail(err error) {
 	j.runErr = err
 	j.done = true
@@ -379,8 +363,6 @@ func (j *liveJob) decide() {
 	if err != nil {
 		return
 	}
-	j.record("bidbrain", "acquire", "%d x %s bid $%.4f (delta %.4f, beta %.2f, E %.5f)",
-		cand.Count, cand.Type.Name, cand.Bid, cand.BidDelta, cand.Beta, cand.NewCostPerWork)
 	j.span.Eventf("core", "acquire", "alloc %d: %dx %s bid=$%.4f (delta $%.4f)",
 		alloc.ID, cand.Count, cand.Type.Name, cand.Bid, cand.BidDelta)
 	j.spotAllocs[alloc.ID] = &spotAlloc{alloc: alloc, bidDelta: cand.BidDelta}
@@ -457,7 +439,6 @@ func (j *liveJob) Evicted(a *market.Allocation) {
 	delete(j.machinesOf, a.ID)
 	delete(j.spotAllocs, a.ID)
 	j.evictions++
-	j.record("market", "evicted", "allocation %d (%d x %s) refunded", a.ID, a.Count, a.Type.Name)
 	j.span.Eventf("core", "refund", "alloc %d evicted: $%.4f refunded for the in-progress hour",
 		a.ID, a.HourCharge())
 	if err := j.clus.Evict(ids); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"proteus/internal/dataset"
 	"proteus/internal/market"
 	"proteus/internal/ml/mf"
+	"proteus/internal/obs"
 	"proteus/internal/perfmodel"
 	"proteus/internal/sim"
 	"proteus/internal/trace"
@@ -76,10 +79,11 @@ func TestLiveRunTrainsAndAccounts(t *testing.T) {
 	}
 }
 
-func TestLiveRunSurvivesEvictions(t *testing.T) {
-	// A market whose every spot price spikes far above any bid shortly
-	// after the run starts forces a bulk eviction of whatever BidBrain
-	// acquired; the run must keep training on the reliable tier.
+// hostileMarket is a market whose every spot price spikes far above any
+// bid shortly after the run starts, forcing a bulk eviction of whatever
+// BidBrain acquired.
+func hostileMarket(t *testing.T) (*sim.Engine, *market.Market) {
+	t.Helper()
 	catalog := market.DefaultCatalog()
 	prices := market.CatalogPrices(catalog)
 	set := trace.NewSet("hostile")
@@ -96,6 +100,13 @@ func TestLiveRunSurvivesEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, mkt
+}
+
+func TestLiveRunSurvivesEvictions(t *testing.T) {
+	// The run must keep training on the reliable tier through the bulk
+	// eviction.
+	eng, mkt := hostileMarket(t)
 	_, _, brain := testHarness(t, 22) // brain trained elsewhere; only β tables matter
 
 	res, err := RunLive(eng, mkt, brain, liveConfig(20))
@@ -138,5 +149,52 @@ func TestLiveConfigValidation(t *testing.T) {
 	}
 	if _, err := RunLive(eng, mkt, nil, liveConfig(10)); err == nil {
 		t.Fatal("nil brain accepted")
+	}
+}
+
+// TestLiveRunNarratesThroughTheTracer: the tracer is the one record of a
+// live run's decisions — a core/acquire span for the reliable tier and
+// for every spot acquisition, a core/refund span for every eviction —
+// and recording it changes nothing: the same run without an observer
+// returns the identical result.
+func TestLiveRunNarratesThroughTheTracer(t *testing.T) {
+	run := func(o *obs.Observer) (LiveResult, *market.Market) {
+		eng, mkt := hostileMarket(t)
+		_, _, brain := testHarness(t, 22)
+		o.SetClock(eng.Now)
+		cfg := liveConfig(20)
+		cfg.Observer = o
+		res, err := RunLive(eng, mkt, brain, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, mkt
+	}
+	o := obs.NewObserver(nil)
+	traced, mkt := run(o)
+	plain, _ := run(nil)
+	if !reflect.DeepEqual(traced, plain) {
+		t.Fatalf("the observer changed the run:\n traced %+v\n plain  %+v", traced, plain)
+	}
+	if traced.Evictions == 0 {
+		t.Fatal("hostile market caused no evictions")
+	}
+
+	spot := 0
+	for _, a := range mkt.Allocations() {
+		if !a.OnDemand {
+			spot++
+		}
+	}
+	acquires := o.Trace().Filter("core", "acquire")
+	if len(acquires) != 1+spot {
+		t.Fatalf("%d core/acquire spans, want 1 reliable + %d spot", len(acquires), spot)
+	}
+	if !strings.HasPrefix(acquires[0].Detail, "reliable tier: 2x c4.xlarge") ||
+		!strings.HasPrefix(acquires[1].Detail, "alloc 1: ") || !strings.Contains(acquires[1].Detail, "bid=$") {
+		t.Fatalf("acquires = %q, %q", acquires[0].Detail, acquires[1].Detail)
+	}
+	if refunds := o.Trace().Filter("core", "refund"); len(refunds) != traced.Evictions {
+		t.Fatalf("%d core/refund spans for %d evictions", len(refunds), traced.Evictions)
 	}
 }

@@ -269,3 +269,15 @@ func TestRunZoneDiversifiedValidation(t *testing.T) {
 		t.Fatal("zero samples accepted")
 	}
 }
+
+func TestAsciiBar(t *testing.T) {
+	if got := AsciiBar(5, 10, 10); got != "#####" {
+		t.Fatalf("AsciiBar = %q, want #####", got)
+	}
+	if got := AsciiBar(20, 10, 10); len(got) != 10 {
+		t.Fatalf("AsciiBar should clamp, got %q", got)
+	}
+	if got := AsciiBar(1, 0, 10); got != "" {
+		t.Fatalf("AsciiBar with max=0 should be empty, got %q", got)
+	}
+}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"proteus/internal/agileml"
@@ -18,6 +20,19 @@ import (
 type Bar struct {
 	Label string
 	Value float64 // seconds per iteration unless noted
+}
+
+// AsciiBar renders value as a proportional bar against max, width cells
+// wide, for quick terminal-readable figures.
+func AsciiBar(value, max float64, width int) string {
+	if max <= 0 || value < 0 {
+		return ""
+	}
+	n := int(math.Round(value / max * float64(width)))
+	if n > width {
+		n = width
+	}
+	return strings.Repeat("#", n)
 }
 
 // Fig01Row is one configuration of Fig. 1: cost and runtime of the MLR

@@ -28,6 +28,11 @@ const BaseCores = 256
 // priority, so an unbounded value would let one tenant starve the pool.
 const MaxPriority = 100
 
+// MaxNameBytes bounds the name field: a name is copied into every
+// status reply, span and WAL submit record, so it is a label, not a
+// payload.
+const MaxNameBytes = 256
+
 // Entry is one job in the shared JSON shape. A -jobs-file is a JSON
 // array of entries; POST /v1/jobs accepts a single entry or an array.
 type Entry struct {
@@ -35,7 +40,7 @@ type Entry struct {
 	// assigned by the consumer (file order for the CLI, next free ID for
 	// the API).
 	ID *int `json:"id,omitempty"`
-	// Name defaults to "job-<id>".
+	// Name defaults to "job-<id>"; at most MaxNameBytes bytes.
 	Name string `json:"name,omitempty"`
 	// Hours sizes the job: hours of work for BaseCores transient cores.
 	Hours float64 `json:"hours"`
@@ -117,6 +122,9 @@ func Validate(entries []Entry) error {
 	}
 	explicit := make(map[int]int)
 	for i, e := range entries {
+		if len(e.Name) > MaxNameBytes {
+			add(i, "name", "must be at most %d bytes, got %d", MaxNameBytes, len(e.Name))
+		}
 		switch {
 		case math.IsNaN(e.Hours) || math.IsInf(e.Hours, 0):
 			add(i, "hours", "must be finite")

@@ -44,6 +44,8 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Hours: 1, ArrivalMinutes: -5},                   // negative arrival
 		{Hours: 1, DeadlineHours: 1, ArrivalMinutes: 90}, // deadline before arrival
 		{Hours: 1, ID: intp(-3)},                         // negative ID
+		{Hours: 1, Name: strings.Repeat("n", MaxNameBytes)},
+		{Hours: 0, Name: strings.Repeat("n", MaxNameBytes+1)}, // long name, reported before hours
 	}
 	err := Validate(entries)
 	if err == nil {
@@ -64,6 +66,8 @@ func TestValidateFieldErrors(t *testing.T) {
 		{5, "arrival_minutes"},
 		{6, "deadline_hours"},
 		{7, "id"},
+		{9, "name"},
+		{9, "hours"},
 	}
 	if len(verr) != len(want) {
 		t.Fatalf("got %d field errors, want %d: %v", len(verr), len(want), verr)

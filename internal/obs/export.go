@@ -129,8 +129,8 @@ type metricJSON struct {
 }
 
 // WriteMetricsJSONL writes one JSON object per series, stamped with the
-// registry clock's current virtual time — the same at_seconds field the
-// journal and trace exporters use.
+// registry clock's current virtual time, the clock the trace exporter's
+// start_seconds/end_seconds read.
 func (r *Registry) WriteMetricsJSONL(w io.Writer) error {
 	if r == nil {
 		return nil

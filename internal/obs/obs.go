@@ -7,9 +7,9 @@
 // stack, and the simulation engine itself — reports through the same
 // registry and tracer, so the paper's Fig. 5/6/9/11 narratives, the
 // benchmark harnesses, and the live-mode /metrics endpoint all read one
-// source of truth. The decision journal (internal/journal) consumes the
-// span stream via BridgeJournal, which is what keeps the journal's
-// narrative and the exported metrics from ever disagreeing.
+// source of truth. The span stream is also the only record of a run's
+// decisions: `proteus -live` prints its narrative straight from it, so
+// the printed story and the exported trace cannot disagree.
 //
 // Instruments are nil-safe: methods on a nil *Registry return nil
 // instruments, and methods on nil instruments are no-ops. Components

@@ -102,7 +102,7 @@ func childSpanID(traceID, parentID, index uint64) uint64 {
 }
 
 // Tracer records spans stamped by a virtual clock and fans each finished
-// span out to subscribers (the journal bridge, exporters). Safe for
+// span out to subscribers (the flight recorder). Safe for
 // concurrent use; all methods on a nil *Tracer are no-ops.
 type Tracer struct {
 	mu      sync.Mutex
@@ -605,24 +605,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Recorder is the subset of internal/journal.Journal the bridge needs;
-// declared here so obs stays dependency-free.
-type Recorder interface {
-	Record(component, kind, detail string, args ...any)
-}
-
-// BridgeJournal subscribes a journal to the tracer's span stream: every
-// finished span becomes one journal event with the same component, kind,
-// and detail. Components that emit through the tracer must not also
-// write to the journal directly, so the narrative and the trace stay in
-// one-to-one agreement.
-func BridgeJournal(t *Tracer, rec Recorder) {
-	if t == nil || rec == nil {
-		return
-	}
-	t.Subscribe(func(sp SpanData) {
-		rec.Record(sp.Component, sp.Name, "%s", sp.Detail)
-	})
 }

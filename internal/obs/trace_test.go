@@ -4,9 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,36 +95,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-type recordSink struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (r *recordSink) Record(component, kind, detail string, args ...any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lines = append(r.lines, component+"/"+kind+": "+fmt.Sprintf(detail, args...))
-}
-
-func TestBridgeJournal(t *testing.T) {
-	tr := NewTracer(nil)
-	sink := &recordSink{}
-	BridgeJournal(tr, sink)
-	tr.Event("agileml", "stage-transition", "stage %d -> stage %d", 1, 2)
-	sp := tr.Start("market", "allocation")
-	sp.Detailf("4 x c4.xlarge").End()
-
-	if len(sink.lines) != 2 {
-		t.Fatalf("journal got %d records, want 2", len(sink.lines))
-	}
-	if sink.lines[0] != "agileml/stage-transition: stage 1 -> stage 2" {
-		t.Fatalf("line = %q", sink.lines[0])
-	}
-	if !strings.HasPrefix(sink.lines[1], "market/allocation:") {
-		t.Fatalf("line = %q", sink.lines[1])
-	}
-}
-
 func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
 	tr.Event("a", "b", "c")
@@ -139,16 +108,16 @@ func TestNilTracerNoOps(t *testing.T) {
 	}
 }
 
-// TestBridgeJournalAbsorbConcurrent drives the merge path under load:
-// spans finishing natively, batches absorbed from per-task tracers, and
-// subscribers (the journal bridge among them) attaching mid-stream. Run
-// with -race; the invariant is that every span reaches every subscriber
-// attached before its emission, with no lost or double deliveries for
-// the from-the-start bridge.
-func TestBridgeJournalAbsorbConcurrent(t *testing.T) {
+// TestSubscribeAbsorbConcurrent drives the merge path under load: spans
+// finishing natively, batches absorbed from per-task tracers, and
+// subscribers attaching mid-stream. Run with -race; the invariant is
+// that every span reaches every subscriber attached before its
+// emission, with no lost or double deliveries for the from-the-start
+// subscriber.
+func TestSubscribeAbsorbConcurrent(t *testing.T) {
 	tr := NewTracer(nil)
-	sink := &recordSink{}
-	BridgeJournal(tr, sink)
+	var delivered atomic.Int64
+	tr.Subscribe(func(SpanData) { delivered.Add(1) })
 
 	const workers, perWorker, batches, perBatch = 4, 200, 4, 100
 	var wg sync.WaitGroup
@@ -186,10 +155,8 @@ func TestBridgeJournalAbsorbConcurrent(t *testing.T) {
 	if tr.Len() != total {
 		t.Fatalf("tracer holds %d spans, want %d", tr.Len(), total)
 	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.lines) != total {
-		t.Fatalf("bridged journal saw %d records, want %d", len(sink.lines), total)
+	if got := delivered.Load(); got != int64(total) {
+		t.Fatalf("the first subscriber saw %d spans, want %d", got, total)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -642,5 +643,45 @@ func TestLiveNowArrivalsReplayIdentically(t *testing.T) {
 	if resultJSON(t, replayed) != resultJSON(t, live) {
 		t.Errorf("replaying the live service's WAL diverges from its bill: %d rebalances and $%.4f live, %d and $%.4f replayed",
 			live.Rebalances, live.TotalCost, replayed.Rebalances, replayed.TotalCost)
+	}
+}
+
+// TestSubmitRefusedWhenFrameExceedsWALBound: a job the log cannot frame
+// is refused as a whole — no record, no scheduler state, no sticky log
+// error — so the next submission is accepted and the directory recovers
+// to exactly the jobs that were acknowledged.
+func TestSubmitRefusedWhenFrameExceedsWALBound(t *testing.T) {
+	const seed = 83
+	f := newRecoveryFixture(t, seed)
+	walDir := t.TempDir()
+	log, err := wal.Create(walDir, wal.Meta{Seed: seed}, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, mkt := f.env(t)
+	cfg := f.config(eng)
+	cfg.WAL = log
+	s, err := New(eng, mkt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := Job{ID: 0, Name: strings.Repeat("n", 2<<20), Spec: smallSpec()}
+	if err := s.Submit(huge); err == nil {
+		t.Fatal("a job whose submit record exceeds the WAL frame bound was accepted")
+	}
+	if st, _ := s.WALStats(); st.Submits != 0 || st.LastSeq != 1 || st.Err != "" {
+		t.Fatalf("the refused job reached the log: %+v", st)
+	}
+	if _, known := s.Status(0); known {
+		t.Fatal("the refused job reached the scheduler")
+	}
+	if err := s.Submit(crashJobs()[0]); err != nil {
+		t.Fatalf("submission after the refusal: %v", err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if replay, err := wal.Recover(walDir); err != nil || len(replay.Jobs) != 1 || replay.Jobs[0].Name != "alpha" {
+		t.Fatalf("recovered %+v (err %v), want only the acknowledged job", replay, err)
 	}
 }

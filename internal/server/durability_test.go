@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -119,19 +120,17 @@ func TestClientRetryEventuallySucceeds(t *testing.T) {
 	}
 }
 
-// TestSubmitDurabilityBarrier: once POST /v1/jobs returns 202, the
-// submission must be recoverable from the WAL directory — even if the
-// process is SIGKILLed before any graceful close. Recovering the live
-// directory (no Close) stands in for the crash.
-func TestSubmitDurabilityBarrier(t *testing.T) {
+// walServer serves a fresh, never-driven scheduler that logs to a new
+// WAL directory, and returns both.
+func walServer(t *testing.T, seed int64, opts wal.Options) (*httptest.Server, string) {
+	t.Helper()
 	dir := t.TempDir()
-	wlog, err := wal.Create(dir, wal.Meta{Seed: 612}, wal.Options{})
+	wlog, err := wal.Create(dir, wal.Meta{Seed: seed}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wlog.Close()
-
-	eng, mkt, brain := testHarness(t, 612)
+	t.Cleanup(func() { wlog.Close() })
+	eng, mkt, brain := testHarness(t, seed)
 	o := obs.NewObserver(eng.Now)
 	cfg := testConfig(brain, o)
 	cfg.WAL = wlog
@@ -144,8 +143,16 @@ func TestSubmitDurabilityBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts, dir
+}
 
+// TestSubmitDurabilityBarrier: once POST /v1/jobs returns 202, the
+// submission must be recoverable from the WAL directory — even if the
+// process is SIGKILLed before any graceful close. Recovering the live
+// directory (no Close) stands in for the crash.
+func TestSubmitDurabilityBarrier(t *testing.T) {
+	ts, dir := walServer(t, 612, wal.Options{})
 	c := client.New(ts.URL, nil)
 	ids, err := c.Submit(context.Background(), testEntries()...)
 	if err != nil {
@@ -240,38 +247,26 @@ func TestStatsReportRecovery(t *testing.T) {
 
 // TestOversizeNameNotAcknowledged: a 200 KB name fits the body limit but
 // its WAL frame (encoding/json escapes '<' to six bytes) does not fit
-// what recovery reads. Such a job must never get a 202, and the WAL
-// directory must still recover afterwards.
+// what recovery reads. Such a job must never get a 202 — the name is a
+// field error like any other — and the WAL directory must still recover
+// afterwards.
 func TestOversizeNameNotAcknowledged(t *testing.T) {
-	dir := t.TempDir()
-	wlog, err := wal.Create(dir, wal.Meta{Seed: 614}, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wlog.Close()
-
-	eng, mkt, brain := testHarness(t, 614)
-	cfg := testConfig(brain, nil)
-	cfg.WAL = wlog
-	sc, err := sched.New(eng, mkt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Scheduler: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
+	ts, dir := walServer(t, 614, wal.Options{NoSync: true})
+	// Posted raw: the typed client would escape the name past the body limit.
 	body := `{"hours": 0.5, "name": "` + strings.Repeat("<", 200_000) + `"}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reply server.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&reply)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusAccepted {
-		t.Errorf("a job whose WAL frame recovery cannot read was acknowledged with 202")
+	if err != nil || resp.StatusCode != http.StatusBadRequest || len(reply.Fields) != 1 || reply.Fields[0].Field != "name" {
+		t.Errorf("status %d, reply %+v (err %v), want a 400 with a name field error", resp.StatusCode, reply, err)
+	}
+	st, err := client.New(ts.URL, nil).Stats(context.Background())
+	if err != nil || st.Jobs != 0 || st.WAL.Submits != 0 {
+		t.Errorf("the refused job left a trace: %+v (err %v)", st, err)
 	}
 	if _, err := wal.Recover(dir); err != nil {
 		t.Fatalf("the WAL no longer recovers: %v", err)

@@ -2,14 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"proteus/internal/journal"
 )
 
 // frame renders payload the way Append does: crc32 in %08x, a space, the
@@ -20,7 +19,7 @@ func frame(payload []byte) []byte {
 
 // FuzzDecodeFrame guards the one decoder. On any input decodeFrame must
 // not panic; a frame it accepts must survive the writer's own encoding
-// (journal.MarshalLine + CRC) — re-encoded, it decodes to the same
+// (json.Marshal + CRC) — re-encoded, it decodes to the same
 // Record, so whatever recovery reads, a snapshot or a rewritten log
 // would hold too — and must be protected by its checksum: flipping any
 // one byte makes it a torn record.
@@ -80,7 +79,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !ok {
 			return
 		}
-		payload, err := journal.MarshalLine(rec)
+		payload, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatalf("accepted %q but cannot re-encode %+v: %v", line, rec, err)
 		}

@@ -23,7 +23,10 @@
 //	snapshot.json        replay inputs covering records with seq ≤ last_seq
 //
 // Each segment line is "crc32(payload) in %08x, one space, payload,
-// newline", with the payload a journal.MarshalLine JSON object. Only the
+// newline", with the payload one encoding/json object (which never holds
+// a raw newline, so lines split safely). A whole frame is at most
+// maxFrameBytes: Append refuses a longer one and the reader's buffer is
+// that size, so every frame Append accepts, Recover reads. Only the
 // final line of the final segment may fail its checksum (a torn write
 // from a crash mid-append); it is dropped on recovery. A bad record with
 // valid data after it is real corruption and aborts recovery.
@@ -35,8 +38,8 @@
 // writes a fresh snapshot and deletes the segments it covers, bounding
 // both disk and recovery time.
 //
-// Recovery streams each segment through journal.DecodeLines and
-// decodeFrame (CRC check + encoding/json), serially. Reading the log is
+// Recovery streams each segment through scanFrames and decodeFrame
+// (CRC check + encoding/json), serially. Reading the log is
 // 1–2 % of a restart — the rest re-simulates the run — so nothing here
 // is built for speed (DESIGN.md "Durability" has the measurements).
 // sharded.go reads the one retired layout (`shard-NNN/` streams) so that
@@ -48,6 +51,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,7 +61,6 @@ import (
 	"time"
 
 	"proteus/internal/core"
-	"proteus/internal/journal"
 )
 
 // Record kinds. Submit records are replay inputs; everything else is a
@@ -446,7 +449,7 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 			return nil, false, fmt.Errorf("wal: %w", err)
 		}
 		torn := false
-		scanErr := journal.DecodeLines(f, func(line []byte) error {
+		scanErr := scanFrames(f, func(line []byte) error {
 			if torn {
 				return fmt.Errorf("wal: %s: corrupt record followed by more data", name)
 			}
@@ -506,6 +509,28 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 	return r, haveMeta, nil
 }
 
+// maxFrameBytes bounds one frame, newline included. It is the writer's
+// limit and the reader's buffer at once: a record is a few hundred
+// bytes, so 1 MiB is reached only by hostile input.
+const maxFrameBytes = 1 << 20
+
+// scanFrames calls fn for every non-empty line of r, without its
+// newline, and stops at the first fn error. A final line lacking its
+// newline (a torn tail from a crashed writer) is still delivered;
+// decodeFrame's checksum decides whether to keep it.
+func scanFrames(r io.Reader, fn func(line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), maxFrameBytes)
+	for sc.Scan() {
+		if line := sc.Bytes(); len(line) > 0 {
+			if err := fn(line); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
+}
+
 // decodeFrame parses one "crc payload" line; ok is false for a torn or
 // corrupt record (bad frame, checksum mismatch, or unparsable JSON). It
 // is the only function that turns a frame into a Record.
@@ -542,11 +567,16 @@ func (l *Log) Append(r Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
 	r.Seq = l.nextSeq
-	line, err := journal.MarshalLine(r)
+	line, err := json.Marshal(r)
 	if err != nil {
 		return 0, err // encoding bug, not an I/O failure: not sticky
 	}
-	frame := make([]byte, 0, len(line)+10)
+	size := len(line) + 10 // 8 hex digits, a space, the payload, a newline
+	if size > maxFrameBytes {
+		// The caller's record is at fault, not the log: not sticky either.
+		return 0, fmt.Errorf("wal: %s record frames to %d bytes, over the %d-byte bound", r.Kind, size, maxFrameBytes)
+	}
+	frame := make([]byte, 0, size)
 	frame = fmt.Appendf(frame, "%08x ", crc32.ChecksumIEEE(line))
 	frame = append(frame, line...)
 	frame = append(frame, '\n')

@@ -404,24 +404,52 @@ func TestFrameChecksum(t *testing.T) {
 }
 
 // TestAcceptedFrameRecovers is the log's contract with its own reader:
-// every record Append accepts, Recover reads. The name is 200 KB of a
-// byte encoding/json escapes to six, so the frame is 1.2 MB — a log
-// holding it must either refuse the append or read the record back.
+// every record Append accepts, Recover reads, because one bound —
+// maxFrameBytes — decides both. Walked at the bound, one byte over it,
+// and with the input that found the gap: 200 KB of a byte encoding/json
+// escapes to six, a 1.2 MB frame. A refusal must leave no mark: not on
+// disk, not in the counters, not as a sticky error.
 func TestAcceptedFrameRecovers(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, testMeta(), Options{NoSync: true})
+	l, err := Create(dir, testMeta(), Options{NoSync: true, SegmentBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := testJob(0)
-	j.Name = strings.Repeat("<", 200_000)
-	want := 0
-	if _, err := l.Append(Record{Kind: KindSubmit, JobID: 0, Job: &j}); err == nil {
-		want = 1
+	// sized returns a record that frames, as the log's next one, to
+	// exactly size bytes: its detail is padded with a byte
+	// encoding/json leaves alone.
+	sized := func(size int) Record {
+		r := Record{Seq: l.LastSeq() + 1, Kind: KindAcquire, JobID: -1, Detail: "x"}
+		one, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Detail = strings.Repeat("x", size-(len(one)+10)+1)
+		return r
 	}
-	// A refusal is not a failure of the log: later records still land.
-	if _, err := l.Append(Record{Kind: KindTick, JobID: -1}); err != nil {
-		t.Fatalf("append after the big record: %v", err)
+	escaped := testJob(0)
+	escaped.Name = strings.Repeat("<", 200_000)
+	accepted := 1 // the meta record
+	for _, c := range []struct {
+		name   string
+		rec    func() Record
+		accept bool
+	}{
+		{"escaped name", func() Record { return Record{Kind: KindSubmit, JobID: 0, Job: &escaped} }, false},
+		{"one byte over", func() Record { return sized(maxFrameBytes + 1) }, false},
+		{"at the bound", func() Record { return sized(maxFrameBytes) }, true},
+		{"after the refusals", func() Record { return Record{Kind: KindTick, JobID: -1} }, true},
+	} {
+		before := l.Stats()
+		_, err := l.Append(c.rec())
+		if (err == nil) != c.accept {
+			t.Errorf("%s: Append returned %v, want accepted = %v", c.name, err, c.accept)
+		}
+		if err == nil {
+			accepted++
+		} else if after := l.Stats(); after != before {
+			t.Errorf("%s: the refused append left its mark: %+v", c.name, after)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -430,10 +458,32 @@ func TestAcceptedFrameRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the log cannot read what it wrote: %v", err)
 	}
-	if len(rep.Jobs) != want {
-		t.Fatalf("recovered %d submissions, want %d", len(rep.Jobs), want)
+	if rep.Records != accepted || rep.TornDropped {
+		t.Fatalf("recovered %d records (torn %v), want the %d accepted", rep.Records, rep.TornDropped, accepted)
 	}
-	if want == 1 && rep.Jobs[0].Name != j.Name {
-		t.Fatal("recovered name differs")
+}
+
+// TestRecordIsOneLine: the log splits records on '\n', so a newline in
+// a record's text must never reach the segment raw.
+func TestRecordIsOneLine(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, testMeta(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob(0)
+	j.Name = "line1\nline2\r\n"
+	if _, err := l.Append(Record{Kind: KindSubmit, JobID: 0, Job: &j, Detail: "a\nb"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil || strings.Count(string(raw), "\n") != 2 {
+		t.Fatalf("meta + submit must be two lines (err %v):\n%s", err, raw)
+	}
+	if rep, err := Recover(dir); err != nil || len(rep.Jobs) != 1 || rep.Jobs[0].Name != j.Name {
+		t.Fatalf("recovered %+v (err %v), want the name back intact", rep, err)
 	}
 }
