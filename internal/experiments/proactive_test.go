@@ -11,8 +11,16 @@ func smokeProactiveCfg() MarketConfig {
 	return MarketConfig{Seed: 1, EvalDays: 14, TrainDays: 20, BetaSamples: 200}
 }
 
+// TestRunProactiveSmoke runs the study on the smoke seed, on the tests'
+// small market and on the one `proteus -proactive` runs by default.
 func TestRunProactiveSmoke(t *testing.T) {
-	study, err := RunProactive(smokeProactiveCfg(), SyntheticJobs(8, 1), nil)
+	for name, cfg := range map[string]MarketConfig{"small": smokeProactiveCfg(), "cli default": DefaultMarketConfig()} {
+		t.Run(name, func(t *testing.T) { proactiveSmoke(t, cfg) })
+	}
+}
+
+func proactiveSmoke(t *testing.T, cfg MarketConfig) {
+	study, err := RunProactive(cfg, SyntheticJobs(8, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
+	"time"
 )
 
 func TestFlightRecorderRingBounds(t *testing.T) {
@@ -101,6 +104,64 @@ func TestHandlersReturn503WhenDisabled(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestFlightRecentIsTailOfSpans: whatever a tracer is put through, the
+// flight recorder shows the newest DefaultFlightSize spans the tracer
+// retains and has counted every span ever finished. Retention limits
+// here are 0 or at least the flight size; a smaller one also bounds the
+// flight view.
+func TestFlightRecentIsTailOfSpans(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var now time.Duration
+		tr := NewTracer(func() time.Duration { return now })
+		f := NewFlightRecorder(tr, 0)
+		var open []*Span
+		check := func(step int) {
+			t.Helper()
+			spans := tr.Spans()
+			want := spans[max(0, len(spans)-DefaultFlightSize):]
+			if got := f.Recent(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: Recent() holds %d spans and is not the newest %d of the %d retained",
+					seed, step, len(got), len(want), len(spans))
+			}
+			if dump := f.Snapshot(); dump.TotalRecorded != uint64(len(spans))+tr.Dropped() || dump.Capacity != DefaultFlightSize {
+				t.Fatalf("seed %d step %d: dump counts %d recorded at capacity %d, tracer retains %d and dropped %d",
+					seed, step, dump.TotalRecorded, dump.Capacity, len(spans), tr.Dropped())
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			now += time.Duration(rng.Intn(1000)) * time.Millisecond
+			switch op := rng.Intn(100); {
+			case op < 40:
+				tr.Event("c", "event", "%d", step)
+			case op < 60:
+				open = append(open, tr.StartTrace(NewTraceID(uint64(seed), uint64(step)), "sched", "job"))
+			case op < 75 && len(open) > 0:
+				open = append(open, open[rng.Intn(len(open))].Child("sched", "lease"))
+			case op < 90 && len(open) > 0:
+				i := rng.Intn(len(open))
+				open[i].EndDetail(fmt.Sprint(step))
+				open = append(open[:i], open[i+1:]...)
+			case op < 96:
+				child := NewTracer(func() time.Duration { return now })
+				for i, n := 0, rng.Intn(1500); i < n; i++ {
+					child.Event("task", "cell", "%d/%d", step, i)
+				}
+				tr.Absorb(child.Spans())
+			case op < 98:
+				tr.SetLimit([]int{0, DefaultFlightSize, DefaultFlightSize + 1, 3 * DefaultFlightSize}[rng.Intn(4)])
+			}
+			if step%97 == 0 {
+				check(step)
+			}
+		}
+		check(3000)
+		if total := uint64(tr.Len()) + tr.Dropped(); total <= 2*DefaultFlightSize {
+			t.Fatalf("seed %d: the program finished only %d spans, not well past the flight size", seed, total)
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,10 +134,16 @@ func walServer(t *testing.T, seed int64, opts wal.Options) (*httptest.Server, st
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wlog.Close() })
+	return serveOver(t, seed, wlog), dir
+}
+
+// serveOver serves a fresh, never-driven scheduler that logs to w.
+func serveOver(t *testing.T, seed int64, w wal.Writer) *httptest.Server {
+	t.Helper()
 	eng, mkt, brain := testHarness(t, seed)
 	o := obs.NewObserver(eng.Now)
 	cfg := testConfig(brain, o)
-	cfg.WAL = wlog
+	cfg.WAL = w
 	sc, err := sched.New(eng, mkt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +154,7 @@ func walServer(t *testing.T, seed int64, opts wal.Options) (*httptest.Server, st
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, dir
+	return ts
 }
 
 // TestSubmitDurabilityBarrier: once POST /v1/jobs returns 202, the
@@ -270,5 +280,92 @@ func TestOversizeNameNotAcknowledged(t *testing.T) {
 	}
 	if _, err := wal.Recover(dir); err != nil {
 		t.Fatalf("the WAL no longer recovers: %v", err)
+	}
+}
+
+// faultyWAL is a real log whose Append goes wrong once okAppends records
+// are in: it returns fail, or, with fail nil, hands the log a copy of
+// the record whose job name alone is over the frame bound, so the
+// refusal is the log's own.
+type faultyWAL struct {
+	wal.Writer
+	okAppends int
+	fail      error
+}
+
+func (f *faultyWAL) Append(r wal.Record) (uint64, error) {
+	if f.okAppends > 0 {
+		f.okAppends--
+		return f.Writer.Append(r)
+	}
+	if f.fail != nil {
+		return 0, f.fail
+	}
+	job := *r.Job
+	job.Name = strings.Repeat("n", 2<<20)
+	r.Job = &job
+	return f.Writer.Append(r)
+}
+
+// TestSubmitFailureStatus: which side a refused POST /v1/jobs blames. A
+// log that cannot take the record is the server's failure — a 500, which
+// a retrying client treats as such — and never the 400 that tells the
+// client its request was malformed; a job the log cannot frame and a
+// taken ID are the client's. Every reply lists the prefix accepted
+// before the refusal, and the acknowledged jobs are what the directory
+// recovers.
+func TestSubmitFailureStatus(t *testing.T) {
+	seven := 7
+	for _, tc := range []struct {
+		name      string
+		okAppends int // job 7, then the first two of the batch under test
+		fail      error
+		third     jobspec.Entry
+		status    int
+	}{
+		{"log append fails", 3, errors.New("write wal-00000001.log: no space left on device"), jobspec.Entry{Hours: 0.5}, http.StatusInternalServerError},
+		{"frame over the log's bound", 3, nil, jobspec.Entry{Hours: 0.5}, http.StatusBadRequest},
+		{"duplicate id", math.MaxInt, nil, jobspec.Entry{ID: &seven, Hours: 0.5}, http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wlog, err := wal.Create(dir, wal.Meta{Seed: 615}, wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wlog.Close()
+			ts := serveOver(t, 615, &faultyWAL{Writer: wlog, okAppends: tc.okAppends, fail: tc.fail})
+			if _, err := client.New(ts.URL, nil).Submit(context.Background(), jobspec.Entry{ID: &seven, Hours: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+
+			body, err := json.Marshal([]jobspec.Entry{{Hours: 0.5}, {Hours: 0.5}, tc.third})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply server.SubmitResponse
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Errorf("status %d (%s), want %d", resp.StatusCode, reply.Error, tc.status)
+			}
+			if !reflect.DeepEqual(reply.Accepted, []int{8, 9}) || reply.Error == "" {
+				t.Errorf("reply %+v, want the accepted prefix [8 9] and an error", reply)
+			}
+			if err := wlog.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			replay, err := wal.Recover(dir)
+			if err != nil || len(replay.Jobs) != 3 {
+				t.Fatalf("recovered %+v (err %v), want jobs 7, 8 and 9", replay, err)
+			}
+		})
 	}
 }

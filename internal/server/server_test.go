@@ -457,6 +457,16 @@ func TestTraceEndpoint(t *testing.T) {
 	if stats.EventsDropped != 0 || stats.SpansDropped != 0 {
 		t.Fatalf("drop counters events=%d spans=%d, want 0", stats.EventsDropped, stats.SpansDropped)
 	}
+	if d := o.Trace().Dropped(); d != stats.SpansDropped {
+		t.Fatalf("tracer dropped %d spans, /v1/stats says %d", d, stats.SpansDropped)
+	}
+	// The two latency families a dashboard reads for this run have samples.
+	if h := o.Reg().Histogram("proteus_api_request_seconds", "", nil, obs.L("route", "submit")); h.Count() == 0 {
+		t.Fatal(`no sample in proteus_api_request_seconds{route="submit"}`)
+	}
+	if h := o.Reg().Histogram("proteus_sched_admission_wait_seconds", "", nil); h.Count() == 0 {
+		t.Fatal("no sample in proteus_sched_admission_wait_seconds")
+	}
 }
 
 // TestSSEAttachFlushesHeaders: attaching to the event stream of a job
