@@ -8,7 +8,6 @@ package proteus_test
 
 import (
 	"math/rand"
-	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -120,11 +119,9 @@ func BenchmarkFig10_MachineHours(b *testing.B) {
 	}
 }
 
-// BenchmarkRunSchemesSerial times one worker running the Fig. 8
-// (scheme, zone, sample) grid — the per-run hot path with no fan-out
-// hiding it. PR 4 made the grid parallel; this benchmark tracks the
-// single-run kernels (price lookups, eviction scans, β training,
-// event scheduling) that bound every cell.
+// BenchmarkRunSchemesSerial times the Fig. 8 (scheme, zone, sample)
+// grid on one worker: the single-run kernels (price lookups, eviction
+// scans, β training, event scheduling) that bound every cell.
 func BenchmarkRunSchemesSerial(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Parallel = 1
@@ -139,44 +136,6 @@ func BenchmarkRunSchemesSerial(b *testing.B) {
 		}
 	}
 	reportSchemes(b, avgs)
-}
-
-// BenchmarkRunSchemesParallel times the Fig. 8 workload with the
-// (scheme, zone, sample) grid fanned out over 8 workers and reports the
-// speedup over a fully serial run of the same grid. Every iteration also
-// asserts the engine's headline contract: the parallel tables are
-// bit-identical to the serial ones. The speedup metric approaches the
-// core count on multi-core machines and ~1x on a single core.
-func BenchmarkRunSchemesParallel(b *testing.B) {
-	serialCfg := benchCfg()
-	serialCfg.Parallel = 1
-	start := time.Now()
-	serialAvgs, err := experiments.RunSchemes(serialCfg, 2, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	serialSec := time.Since(start).Seconds()
-
-	parCfg := benchCfg()
-	parCfg.Parallel = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		iterStart := time.Now()
-		avgs, err := experiments.RunSchemes(parCfg, 2, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		elapsed += time.Since(iterStart)
-		if !reflect.DeepEqual(serialAvgs, avgs) {
-			b.Fatal("parallel output differs from serial")
-		}
-	}
-	b.StopTimer()
-	if parSec := elapsed.Seconds() / float64(b.N); parSec > 0 {
-		b.ReportMetric(serialSec/parSec, "speedup-x")
-	}
 }
 
 func BenchmarkFig11_Stage1(b *testing.B) {
@@ -437,7 +396,7 @@ func BenchmarkMarketPricePoll(b *testing.B) {
 // variant adds one reflection-encoded JSONL frame (a few µs — the full
 // JobSpec is marshaled so replay is exact). The durability budget is
 // against the end-to-end submit path: that frame must stay under 10% of
-// the HTTP admission pipeline cmd/loadgen measures p50/p99 for (ms
+// the HTTP admission pipeline bench/'s Life B measures p50/p95 for (ms
 // scale), with fsync amortized across concurrent submitters by the
 // server's group-commit barrier rather than paid per record.
 func BenchmarkSchedulerSubmit(b *testing.B) {

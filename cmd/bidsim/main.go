@@ -26,7 +26,7 @@ func main() {
 	fig := flag.Int("fig", 8, "figure to reproduce (1, 8, 9, 10)")
 	samples := flag.Int("samples", 20, "job start points to average (paper: 1000)")
 	seed := flag.Int64("seed", 1, "market seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the (scheme, zone, sample) fan-out; output is identical at any setting")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for beta training (the figures' grids run serially); output is identical at any setting")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text metrics aggregated over all sample runs to this file")
 	traceOut := flag.String("trace-out", "", "write the JSONL span trace of all sample runs to this file")

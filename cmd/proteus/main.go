@@ -24,7 +24,7 @@
 //	proteus -live -iterations 40
 //	proteus -jobs 8 -policy fair -metrics-out metrics.prom
 //	proteus -jobs-file mix.json -policy deadline
-//	proteus -proactive -proactive-gate
+//	proteus -proactive
 //	proteus -serve -addr :8080 -speedup 60
 package main
 
@@ -52,21 +52,15 @@ func main() {
 	scheme := flag.String("scheme", "all", "scheme to run: on-demand, checkpoint, agileml, proteus, all")
 	samples := flag.Int("samples", 10, "job start points to average")
 	seed := flag.Int64("seed", 1, "market seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the experiment fan-out and beta training; output is identical at any setting")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for beta training and the two-arm studies (-jobs, -proactive); output is identical at any setting")
 	live := flag.Bool("live", false, "run the full functional stack (market -> cluster -> AgileML -> real MF training)")
 	iterations := flag.Int("iterations", 40, "training iterations for -live")
 	jobs := flag.Int("jobs", 0, "run N synthetic tenant jobs through the multi-tenant scheduler instead of one job")
 	proactive := flag.Bool("proactive", false, "run the reactive-vs-proactive eviction study: the tenant mix (-jobs, default 8) once reacting to market warnings only, once with the online forecaster pre-draining ahead of predicted evictions")
-	proactiveGate := flag.Bool("proactive-gate", false, "with -proactive, exit nonzero if the proactive arm bills more than the reactive one")
 	jobsFile := flag.String("jobs-file", "", "run the JSON job mix at this path through the multi-tenant scheduler")
 	policy := flag.String("policy", "fair", "multi-tenant placement policy: fair, cost-greedy, deadline")
 	serve := flag.Bool("serve", false, "run the multi-tenant scheduler as a long-running HTTP control plane")
 	serveForecast := flag.Bool("forecast", false, "with -serve, enable the online eviction forecaster: jobs submitted with \"proactive\": true are pre-drained ahead of predicted evictions, and /v1/stats gains the forecast block")
-	slo := flag.Bool("slo", false, "run the control-plane SLO smoke test: serve in-process, submit a burst, assert p99 latency, rooted trace trees, and zero dropped spans")
-	sloJobs := flag.Int("slo-jobs", 12, "with -slo, tenant jobs in the burst")
-	sloP99 := flag.Float64("slo-p99-ms", 250, "with -slo, wall-clock budget for p99 submit latency")
-	sloAdmitP99 := flag.Float64("slo-admit-p99-s", 900, "with -slo, virtual-seconds budget for p99 admission wait")
-	sloFlightOut := flag.String("slo-flight-out", "", "with -slo, write the flight-recorder dump here on failure")
 	addr := flag.String("addr", ":8080", "with -serve, the listen address for the control-plane API")
 	speedup := flag.Float64("speedup", 60, "with -serve, virtual seconds per wall second while jobs run (0 = as fast as possible)")
 	walDir := flag.String("wal-dir", "", "with -serve, append every submission and state transition to a write-ahead log in this directory; a directory already holding a log is recovered (crash restart) instead of started fresh")
@@ -99,27 +93,10 @@ func main() {
 
 	oo := obsOutputs{metricsOut: *metricsOut, traceOut: *traceOut, metricsAddr: *metricsAddr}
 	var o *obs.Observer
-	if oo.enabled() || *serve || *slo || *live {
+	if oo.enabled() || *serve || *live {
 		o = obs.NewObserver(nil)
 	}
 	cfg.Observer = o
-
-	if *slo {
-		err := runSLO(cfg, o, sloConfig{
-			jobs:       *sloJobs,
-			p99MS:      *sloP99,
-			admitP99S:  *sloAdmitP99,
-			flightOut:  *sloFlightOut,
-			policyName: *policy,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := oo.write(o); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *serve {
 		so := serveOptions{
@@ -160,7 +137,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if err := runProactive(cfg, mix, *proactiveGate); err != nil {
+		if err := runProactive(cfg, mix); err != nil {
 			log.Fatal(err)
 		}
 		if err := oo.write(o); err != nil {

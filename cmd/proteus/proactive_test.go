@@ -20,7 +20,7 @@ func TestProactiveStudyPrints(t *testing.T) {
 	os.Stdout = out
 	cfg := experiments.DefaultMarketConfig()
 	cfg.Seed = 1
-	err = runProactive(cfg, experiments.SyntheticJobs(8, cfg.Seed), false)
+	err = runProactive(cfg, experiments.SyntheticJobs(8, cfg.Seed))
 	os.Stdout = stdout
 	if err != nil {
 		t.Fatal(err)

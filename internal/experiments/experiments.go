@@ -22,7 +22,6 @@ import (
 	"proteus/internal/core"
 	"proteus/internal/market"
 	"proteus/internal/obs"
-	"proteus/internal/par"
 	"proteus/internal/sim"
 	"proteus/internal/trace"
 )
@@ -40,15 +39,16 @@ type MarketConfig struct {
 	Zones int
 	// Observer, when set, instruments every market and Brain the config
 	// builds. Counters aggregate across all sample runs, so the exported
-	// totals cover the whole experiment. Parallel harnesses give each
-	// task a private child observer and merge them back in task order,
-	// so the aggregate is identical at every worker count.
+	// totals cover the whole experiment. Harnesses give each task a
+	// private child observer and merge them back in task order, so the
+	// aggregate is identical at every worker count.
 	Observer *obs.Observer
-	// Parallel bounds the worker fan-out of the experiment harnesses
-	// (RunSchemes and friends) and of β-table training in NewEnv: <= 0
-	// means runtime.GOMAXPROCS(0), 1 runs fully serial. Every harness
-	// seeds tasks from (seed, task index) and folds ordered per-task
-	// results, so output is bit-identical at every setting.
+	// Parallel bounds the worker fan-out of β-table training and of the
+	// harnesses whose tasks are whole runs (the two-arm studies, the zone
+	// and preemptible samples; not RunSchemes, whose cells are too cheap
+	// to hand out): <= 0 means runtime.GOMAXPROCS(0), 1 runs fully serial.
+	// Every harness seeds tasks from (seed, task index) and folds ordered
+	// per-task results, so output is bit-identical at every setting.
 	Parallel int
 }
 
@@ -282,43 +282,28 @@ type SchemeAverage struct {
 	Samples       int
 }
 
-// schemeTask is one (scheme, zone, sample) cell of the RunSchemes grid.
-type schemeTask struct {
-	kind   SchemeKind
-	zone   *zoneEnv
-	sample int
-}
-
-// schemeTaskOut is one cell's result plus the private observer that
-// instrumented it (nil when the config is uninstrumented).
-type schemeTaskOut struct {
-	res core.Result
-	obs *obs.Observer
-}
-
-// runSchemeTask executes one grid cell. The cell's mutable state —
-// engine, market, brain, observer — is task-local, which is what lets
-// RunSchemes fan cells out across workers without changing any result
-// bit; the zone's traces and β tables are shared read-only.
-func runSchemeTask(cfg MarketConfig, tk schemeTask, spec core.JobSpec, horizon time.Duration, samples int) (schemeTaskOut, error) {
+// runSchemeCell runs one scheme from one start offset in one zone, on
+// an engine, market and brain of its own over the zone's shared traces
+// and β tables, and merges what the cell observed into cfg.Observer.
+func runSchemeCell(cfg MarketConfig, kind SchemeKind, zone *zoneEnv, spec core.JobSpec, offset time.Duration) (core.Result, error) {
 	var observer *obs.Observer
 	if cfg.Observer != nil {
 		observer = obs.NewObserver(nil)
 	}
-	env, err := tk.zone.newEnv(spec.Params, observer)
+	env, err := zone.newEnv(spec.Params, observer)
 	if err != nil {
-		return schemeTaskOut{}, err
+		return core.Result{}, err
 	}
-	offset := time.Duration(int64(horizon) / int64(samples) * int64(tk.sample))
 	env.Engine.RunUntil(offset)
-	res, err := buildScheme(tk.kind, env).Run(env.Engine, env.Market, spec)
+	res, err := buildScheme(kind, env).Run(env.Engine, env.Market, spec)
 	if err != nil {
-		return schemeTaskOut{}, fmt.Errorf("experiments: %v at offset %v: %w", tk.kind, offset, err)
+		return core.Result{}, fmt.Errorf("experiments: %v at offset %v: %w", kind, offset, err)
 	}
 	if !res.Completed {
-		return schemeTaskOut{}, fmt.Errorf("experiments: %v at offset %v did not complete", tk.kind, offset)
+		return core.Result{}, fmt.Errorf("experiments: %v at offset %v did not complete", kind, offset)
 	}
-	return schemeTaskOut{res: res, obs: observer}, nil
+	cfg.Observer.Merge(observer)
+	return res, nil
 }
 
 // RunSchemes runs every scheme from `samples` start offsets spread over
@@ -327,12 +312,9 @@ func runSchemeTask(cfg MarketConfig, tk schemeTask, spec core.JobSpec, horizon t
 // each zone"). Each (scheme, zone, offset) triple gets a fresh market
 // over the same price history, so schemes face identical conditions.
 //
-// The (scheme, zone, sample) cells fan out over cfg.Parallel workers.
-// Cells are enumerated scheme-major in presentation order and their
-// ordered results folded serially afterward — per-scheme sums, the
-// on-demand baseline, and observer merges all accumulate left to right
-// — so tables, bills, and exported metrics are bit-identical at every
-// worker count.
+// The (scheme, zone, sample) grid is a plain loop, scheme-major in
+// presentation order: a cell costs microseconds once its zone is built,
+// less than handing it to a worker.
 func RunSchemes(cfg MarketConfig, jobHours float64, samples int) ([]SchemeAverage, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("experiments: samples must be positive")
@@ -348,8 +330,8 @@ func RunSchemes(cfg MarketConfig, jobHours float64, samples int) ([]SchemeAverag
 	// Build each zone's shared environment once, up front: every
 	// (scheme, sample) cell of a zone reads the same traces and β
 	// tables, so the grid no longer pays trace synthesis and β training
-	// per cell. β training inside each build already fans out over
-	// cfg.Parallel workers.
+	// per cell. β training inside each build fans out over cfg.Parallel
+	// workers.
 	zones := make([]*zoneEnv, len(seeds))
 	for zi, zoneSeed := range seeds {
 		zoneCfg := cfg
@@ -361,32 +343,22 @@ func RunSchemes(cfg MarketConfig, jobHours float64, samples int) ([]SchemeAverag
 		zones[zi] = z
 	}
 
-	tasks := make([]schemeTask, 0, len(schemes)*len(seeds)*samples)
-	for _, kind := range schemes {
-		for _, z := range zones {
-			for i := 0; i < samples; i++ {
-				tasks = append(tasks, schemeTask{kind: kind, zone: z, sample: i})
-			}
-		}
-	}
-	results, err := par.Map(len(tasks), cfg.Parallel, func(ti int) (schemeTaskOut, error) {
-		return runSchemeTask(cfg, tasks[ti], spec, horizon, samples)
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	out := make([]SchemeAverage, 0, len(schemes))
 	var odCost float64
-	perScheme := len(seeds) * samples
-	for si, kind := range schemes {
-		avg := SchemeAverage{Scheme: kind, Samples: perScheme}
-		for _, to := range results[si*perScheme : (si+1)*perScheme] {
-			avg.Cost += to.res.Cost
-			avg.Runtime += to.res.Runtime
-			avg.Usage.Add(to.res.Usage)
-			avg.Evictions += float64(to.res.Evictions)
-			cfg.Observer.Merge(to.obs)
+	for _, kind := range schemes {
+		avg := SchemeAverage{Scheme: kind, Samples: len(zones) * samples}
+		for _, z := range zones {
+			for i := 0; i < samples; i++ {
+				offset := time.Duration(int64(horizon) / int64(samples) * int64(i))
+				res, err := runSchemeCell(cfg, kind, z, spec, offset)
+				if err != nil {
+					return nil, err
+				}
+				avg.Cost += res.Cost
+				avg.Runtime += res.Runtime
+				avg.Usage.Add(res.Usage)
+				avg.Evictions += float64(res.Evictions)
+			}
 		}
 		n := float64(avg.Samples)
 		avg.Cost /= n

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"proteus/internal/agileml"
+	"proteus/internal/obs"
 )
 
 // fastCfg keeps the cost experiments quick in unit tests; cmd/bidsim uses
@@ -39,6 +41,21 @@ func TestRunSchemesOrdering(t *testing.T) {
 	}
 	if pr.Cost >= ck.Cost {
 		t.Fatalf("proteus ($%.2f) not cheaper than checkpoint ($%.2f)", pr.Cost, ck.Cost)
+	}
+
+	// Observing the grid must not move a number, and every cell's
+	// private observer must reach the caller's.
+	observed := fastCfg()
+	observed.Observer = obs.NewObserver(nil)
+	again, err := RunSchemes(observed, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(avgs, again) {
+		t.Fatalf("an observed run differs:\nplain:    %+v\nobserved: %+v", avgs, again)
+	}
+	if got, cells := len(observed.Observer.Trace().Filter("market", "allocation")), len(avgs)*4; got < cells {
+		t.Fatalf("%d market allocation spans merged from a grid of %d cells", got, cells)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"proteus/internal/obs"
@@ -17,42 +16,6 @@ func stripWall(spans []obs.SpanData) []obs.SpanData {
 		out[i].Wall = 0
 	}
 	return out
-}
-
-// The engine's headline contract: RunSchemes output — tables, bills,
-// and the merged observability exports — is bit-identical at every
-// worker count. CI runs this under -race, which also proves the
-// fan-out shares no mutable state between tasks.
-func TestRunSchemesDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]SchemeAverage, string, []obs.SpanData) {
-		cfg := fastCfg()
-		cfg.Parallel = workers
-		cfg.Observer = obs.NewObserver(nil)
-		avgs, err := RunSchemes(cfg, 2, 3)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var metrics strings.Builder
-		if err := cfg.Observer.Reg().WritePrometheus(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		return avgs, metrics.String(), stripWall(cfg.Observer.Trace().Spans())
-	}
-
-	serialAvgs, serialMetrics, serialSpans := run(1)
-	for _, workers := range []int{2, 8} {
-		avgs, metrics, spans := run(workers)
-		if !reflect.DeepEqual(serialAvgs, avgs) {
-			t.Fatalf("workers=%d: scheme averages differ from serial:\nserial: %+v\nparallel: %+v",
-				workers, serialAvgs, avgs)
-		}
-		if serialMetrics != metrics {
-			t.Fatalf("workers=%d: exported metrics differ from serial", workers)
-		}
-		if !reflect.DeepEqual(serialSpans, spans) {
-			t.Fatalf("workers=%d: span streams differ from serial", workers)
-		}
-	}
 }
 
 // The multi-tenant study's two arms fan out; bills must not move.
@@ -135,17 +98,5 @@ func TestRunZoneDiversifiedDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if serial, parallel := run(1), run(8); serial != parallel {
 		t.Fatalf("zone study differs:\nserial: %+v\nparallel: %+v", serial, parallel)
-	}
-}
-
-// An error in one task must surface exactly as in a serial run.
-func TestRunSchemesParallelErrorPropagation(t *testing.T) {
-	cfg := fastCfg()
-	cfg.EvalDays = 1 // too short for 20h jobs
-	for _, workers := range []int{1, 8} {
-		cfg.Parallel = workers
-		if _, err := RunSchemes(cfg, 20, 2); err == nil {
-			t.Fatalf("workers=%d: short window accepted", workers)
-		}
 	}
 }

@@ -3,29 +3,25 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
-// DefaultFlightSize is the flight recorder's default ring capacity.
+// DefaultFlightSize is how many spans a flight dump shows by default.
 const DefaultFlightSize = 4096
 
-// FlightRecorder keeps a bounded ring of the most recent finished spans
-// so a wedged or misbehaving service can be asked "what just happened"
-// — via GET /debug/flight on the obs mux, or SIGQUIT in `proteus
-// -serve` — without retaining the full trace history. It subscribes to
-// a Tracer and is safe for concurrent use; all methods on a nil
-// recorder are no-ops.
+// FlightRecorder answers "what just happened" for a wedged or
+// misbehaving service — via GET /debug/flight on the obs mux, or SIGQUIT
+// in `proteus -serve` — without dumping the full trace history. It is a
+// view of its Tracer's span store: the newest finished spans still
+// retained there, so a retention limit (Tracer.SetLimit) below the
+// flight size also bounds the dump. Safe for concurrent use; all methods
+// on a nil recorder are no-ops.
 type FlightRecorder struct {
 	tracer *Tracer
-
-	mu    sync.Mutex
-	ring  []SpanData
-	next  int
-	total uint64
+	size   int
 }
 
-// NewFlightRecorder attaches a recorder of the given capacity to t
+// NewFlightRecorder returns a view of t's newest `capacity` spans
 // (capacity <= 0 uses DefaultFlightSize). Returns nil for a nil tracer.
 func NewFlightRecorder(t *Tracer, capacity int) *FlightRecorder {
 	if t == nil {
@@ -34,41 +30,16 @@ func NewFlightRecorder(t *Tracer, capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightSize
 	}
-	f := &FlightRecorder{
-		tracer: t,
-		ring:   make([]SpanData, 0, capacity),
-	}
-	t.Subscribe(f.record)
-	return f
+	return &FlightRecorder{tracer: t, size: capacity}
 }
 
-func (f *FlightRecorder) record(sp SpanData) {
-	f.mu.Lock()
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, sp)
-	} else {
-		f.ring[f.next] = sp
-	}
-	f.next = (f.next + 1) % cap(f.ring)
-	f.total++
-	f.mu.Unlock()
-}
-
-// Recent returns the ring's spans, oldest first.
+// Recent returns the newest retained spans, oldest first.
 func (f *FlightRecorder) Recent() []SpanData {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]SpanData, 0, len(f.ring))
-	if len(f.ring) == cap(f.ring) {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-	} else {
-		out = append(out, f.ring...)
-	}
-	return out
+	recent, _ := f.tracer.recent(f.size)
+	return recent
 }
 
 // FlightDump is the wire form of one flight-recorder snapshot. Times on
@@ -83,28 +54,27 @@ type FlightDump struct {
 	Open          []spanJSON `json:"open"`          // in-flight at snapshot time
 }
 
-// Snapshot captures the recorder's state: the recent-span ring (oldest
-// first), the tracer's still-open spans, and the tracer's drop counter.
+// Snapshot captures the newest spans (oldest first), the tracer's
+// still-open spans, and its counts of spans finished and discarded.
 func (f *FlightRecorder) Snapshot() FlightDump {
 	if f == nil {
 		return FlightDump{TakenAt: time.Now()}
 	}
+	recent, total := f.tracer.recent(f.size)
 	dump := FlightDump{
-		TakenAt:      time.Now(),
-		Capacity:     cap(f.ring),
-		DroppedSpans: f.tracer.Dropped(),
-		Recent:       []spanJSON{},
-		Open:         []spanJSON{},
+		TakenAt:       time.Now(),
+		Capacity:      f.size,
+		TotalRecorded: total,
+		DroppedSpans:  f.tracer.Dropped(),
+		Recent:        make([]spanJSON, 0, len(recent)),
+		Open:          []spanJSON{},
 	}
-	for _, sp := range f.Recent() {
+	for _, sp := range recent {
 		dump.Recent = append(dump.Recent, spanWire(sp))
 	}
 	for _, sp := range f.tracer.OpenSpans() {
 		dump.Open = append(dump.Open, spanWire(sp))
 	}
-	f.mu.Lock()
-	dump.TotalRecorded = f.total
-	f.mu.Unlock()
 	return dump
 }
 

@@ -48,8 +48,8 @@ func TestFlightDumpCarriesOpenAndDropped(t *testing.T) {
 	if len(dump.Open) != 1 || dump.Open[0].Name != "job" {
 		t.Fatalf("open = %+v, want the in-flight root", dump.Open)
 	}
-	if len(dump.Recent) != 5 {
-		t.Fatalf("recent = %d, want all 5 (retention must not gate the ring)", len(dump.Recent))
+	if len(dump.Recent) != 2 || dump.Recent[1].Detail != "4" || dump.TotalRecorded != 5 {
+		t.Fatalf("recent = %+v of %d recorded, want the 2 spans retention kept, of 5", dump.Recent, dump.TotalRecorded)
 	}
 	sp.End()
 
@@ -110,9 +110,8 @@ func TestHandlersReturn503WhenDisabled(t *testing.T) {
 
 // TestFlightRecentIsTailOfSpans: whatever a tracer is put through, the
 // flight recorder shows the newest DefaultFlightSize spans the tracer
-// retains and has counted every span ever finished. Retention limits
-// here are 0 or at least the flight size; a smaller one also bounds the
-// flight view.
+// retains — fewer under a retention limit below the flight size — and
+// has counted every span ever finished.
 func TestFlightRecentIsTailOfSpans(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -153,7 +152,7 @@ func TestFlightRecentIsTailOfSpans(t *testing.T) {
 				}
 				tr.Absorb(child.Spans())
 			case op < 98:
-				tr.SetLimit([]int{0, DefaultFlightSize, DefaultFlightSize + 1, 3 * DefaultFlightSize}[rng.Intn(4)])
+				tr.SetLimit([]int{0, 100, DefaultFlightSize, DefaultFlightSize + 1, 3 * DefaultFlightSize}[rng.Intn(5)])
 			}
 			if step%97 == 0 {
 				check(step)

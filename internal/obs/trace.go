@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -101,14 +102,12 @@ func childSpanID(traceID, parentID, index uint64) uint64 {
 	return nonzero(mix64(seed + (index+1)*golden))
 }
 
-// Tracer records spans stamped by a virtual clock and fans each finished
-// span out to subscribers (the flight recorder). Safe for
-// concurrent use; all methods on a nil *Tracer are no-ops.
+// Tracer records spans stamped by a virtual clock. Safe for concurrent
+// use; all methods on a nil *Tracer are no-ops.
 type Tracer struct {
 	mu      sync.Mutex
 	now     func() time.Duration
 	spans   spanStore
-	subs    []func(SpanData)
 	open    map[*Span]struct{}
 	limit   int
 	dropped uint64
@@ -146,9 +145,8 @@ func (t *Tracer) clock() func() time.Duration {
 	return t.now
 }
 
-// SetLimit bounds retained spans to the most recent n (0 = unbounded).
-// Subscribers still see every span; only retention is bounded, so long
-// live runs cannot grow memory without limit.
+// SetLimit bounds retained spans to the most recent n (0 = unbounded),
+// so long live runs cannot grow memory without limit.
 func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
@@ -193,40 +191,22 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Subscribe registers fn to receive every finished span. Subscribers run
-// on the finishing goroutine and must not call back into the tracer.
-func (t *Tracer) Subscribe(fn func(SpanData)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.subs = append(t.subs, fn)
-}
-
-// recordLocked retains a finished span and returns the subscribers the
-// caller must hand it to once the lock is released.
-func (t *Tracer) recordLocked(sp SpanData) []func(SpanData) {
-	t.spans.push(sp)
-	t.truncateLocked()
-	return t.subs
-}
-
-// finish records the span and notifies subscribers (outside the lock).
 func (t *Tracer) finish(sp SpanData) {
 	t.mu.Lock()
-	subs := t.recordLocked(sp)
+	t.recordLocked(sp)
 	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(sp)
-	}
+}
+
+// recordLocked retains a finished span.
+func (t *Tracer) recordLocked(sp SpanData) {
+	t.spans.push(sp)
+	t.truncateLocked()
 }
 
 // Absorb appends already-finished spans (typically another tracer's
-// Spans()) in order, preserving their timestamps and fanning each one
-// out to subscribers like any locally finished span. Concatenating
-// per-task tracers in task order keeps a fanned-out run's span stream
-// identical to the serial one.
+// Spans()) in order, preserving their timestamps. Concatenating per-task
+// tracers in task order keeps a fanned-out run's span stream identical
+// to the serial one.
 func (t *Tracer) Absorb(spans []SpanData) {
 	if t == nil {
 		return
@@ -423,15 +403,15 @@ func (s *Span) End() { s.end("", false) }
 func (s *Span) EndDetail(detail string) { s.end(detail, true) }
 
 // end stamps, retains and unregisters the span under one hold of the
-// tracer lock, then notifies subscribers outside it.
+// tracer lock.
 func (s *Span) end(detail string, setDetail bool) {
 	if s == nil {
 		return
 	}
 	t := s.t
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if s.done {
-		t.mu.Unlock()
 		return
 	}
 	s.done = true
@@ -441,12 +421,7 @@ func (s *Span) end(detail string, setDetail bool) {
 	delete(t.open, s)
 	s.data.End = t.now()
 	s.data.Wall = time.Since(s.wallStart)
-	sp := s.data
-	subs := t.recordLocked(sp)
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(sp)
-	}
+	t.recordLocked(s.data)
 }
 
 // Spans returns a copy of the retained spans in completion order.
@@ -454,13 +429,27 @@ func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
+	all, _ := t.recent(math.MaxInt)
+	return all
+}
+
+// recent returns a copy of the newest n retained spans, oldest first,
+// and how many spans have finished in all (retained or since dropped).
+func (t *Tracer) recent(n int) ([]SpanData, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, 0, t.spans.n)
+	skip := max(0, t.spans.n-n)
+	out := make([]SpanData, 0, t.spans.n-skip)
 	for i := range t.spans.chunks {
-		out = append(out, t.spans.live(i)...)
+		chunk := t.spans.live(i)
+		if skip >= len(chunk) {
+			skip -= len(chunk)
+			continue
+		}
+		out = append(out, chunk[skip:]...)
+		skip = 0
 	}
-	return out
+	return out, uint64(t.spans.n) + t.dropped
 }
 
 // Len reports the number of retained spans.

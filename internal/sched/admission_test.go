@@ -2,8 +2,8 @@ package sched
 
 import (
 	"container/heap"
+	"errors"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -97,7 +97,7 @@ func TestSubmitWhileTicking(t *testing.T) {
 	if err := <-errc; err != nil {
 		// The run may settle before the last Submit lands; only that
 		// refusal is acceptable.
-		if !strings.Contains(err.Error(), "finished") {
+		if !errors.Is(err, ErrDraining) {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,6 +17,20 @@ import (
 // Lifecycle: driving a run from Submit to settle, and each job from
 // arrival to completion, including its work integration.
 
+// What a refused Submit wraps, for callers that answer each differently
+// (the HTTP control plane: 409, 503, 500; anything else is the job's own
+// fault).
+var (
+	// ErrDuplicateID: a job with this ID was already submitted.
+	ErrDuplicateID = errors.New("sched: duplicate job ID")
+	// ErrDraining: the scheduler is shutting down or has finished.
+	ErrDraining = errors.New("sched: not accepting jobs")
+	// ErrWAL: the write-ahead log could not take the submit record, so
+	// the job was not registered. A record over the log's frame bound is
+	// not this: the log is fine and the job is at fault.
+	ErrWAL = errors.New("sched: write-ahead log append failed")
+)
+
 // Submit registers a job. Before Run or Serve starts, submissions
 // simply join the batch. Once the scheduler is being driven, Submit is
 // safe to call from any goroutine: the job is injected into the live
@@ -28,10 +43,10 @@ func (s *Scheduler) Submit(job Job) error {
 	s.submitWaiters.Add(-1)
 	defer s.mu.Unlock()
 	if s.finished {
-		return fmt.Errorf("sched: Submit after the run finished")
+		return fmt.Errorf("%w: the run finished", ErrDraining)
 	}
 	if s.closing {
-		return fmt.Errorf("sched: scheduler is draining, not accepting jobs")
+		return fmt.Errorf("%w: the scheduler is draining", ErrDraining)
 	}
 	if err := job.Spec.Validate(); err != nil {
 		return fmt.Errorf("sched: job %d: %w", job.ID, err)
@@ -40,7 +55,7 @@ func (s *Scheduler) Submit(job Job) error {
 		return fmt.Errorf("sched: job %d: negative arrival", job.ID)
 	}
 	if _, dup := s.byID[job.ID]; dup {
-		return fmt.Errorf("sched: duplicate job ID %d", job.ID)
+		return fmt.Errorf("%w %d", ErrDuplicateID, job.ID)
 	}
 	j := &jobRun{job: job, state: Pending, traceID: obs.NewTraceID(s.cfg.TraceSeed, uint64(job.ID))}
 	var arriveAt time.Duration
@@ -63,7 +78,10 @@ func (s *Scheduler) Submit(job Job) error {
 	// arrival) must be durable-loggable before any scheduler state
 	// changes, so a crash never knows a job the log does not.
 	if err := s.walSubmit(j); err != nil {
-		return fmt.Errorf("sched: job %d: %w", job.ID, err)
+		if errors.Is(err, wal.ErrFrameTooLarge) {
+			return fmt.Errorf("sched: job %d: %w", job.ID, err)
+		}
+		return fmt.Errorf("sched: job %d: %w: %w", job.ID, ErrWAL, err)
 	}
 	if s.started {
 		s.eng.AtTransient(arriveAt, "sched.arrival", func() { s.arrive(j) })

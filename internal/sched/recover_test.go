@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -666,8 +667,8 @@ func TestSubmitRefusedWhenFrameExceedsWALBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge := Job{ID: 0, Name: strings.Repeat("n", 2<<20), Spec: smallSpec()}
-	if err := s.Submit(huge); err == nil {
-		t.Fatal("a job whose submit record exceeds the WAL frame bound was accepted")
+	if err := s.Submit(huge); !errors.Is(err, wal.ErrFrameTooLarge) || errors.Is(err, ErrWAL) {
+		t.Fatalf("a job whose submit record exceeds the WAL frame bound: Submit returned %v, want the job's fault (wal.ErrFrameTooLarge), not the log's (ErrWAL)", err)
 	}
 	if st, _ := s.WALStats(); st.Submits != 0 || st.LastSeq != 1 || st.Err != "" {
 		t.Fatalf("the refused job reached the log: %+v", st)

@@ -317,8 +317,9 @@ type Scheduler struct {
 	// drive loops re-acquire mu immediately after every engine step; Go
 	// mutexes are unfair in that regime, so without an explicit yield a
 	// hot Serve loop starves submitters into the 1-ms starvation regime
-	// (p99 ~1.4s at 32 loadgen workers). The loops check this counter
-	// after unlocking and yield the processor when anyone is waiting.
+	// (p99 ~1.4s at 32 concurrent submitters). The loops check this
+	// counter after unlocking and yield the processor when anyone is
+	// waiting.
 	submitWaiters atomic.Int32
 
 	jobs   []*jobRun

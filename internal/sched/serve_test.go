@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -50,8 +51,7 @@ func TestServeSubmitLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duplicate job IDs are refused while running.
-	if err := s.Submit(Job{ID: 0, Name: "dup", Spec: smallSpec()}); err == nil ||
-		!strings.Contains(err.Error(), "duplicate job ID") {
+	if err := s.Submit(Job{ID: 0, Name: "dup", Spec: smallSpec()}); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate Submit: %v", err)
 	}
 	first := waitState(t, s, 0, Done)

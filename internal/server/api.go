@@ -91,8 +91,8 @@ type Stats struct {
 	Draining    bool `json:"draining"`
 	Subscribers int  `json:"subscribers"`
 
-	// Telemetry loss counters; both stay zero on a healthy service and
-	// the SLO smoke gate asserts exactly that.
+	// Telemetry loss counters; both stay zero on a healthy service
+	// (TestTraceEndpoint asserts exactly that over real HTTP).
 	EventsDropped int    `json:"events_dropped"`
 	SpansDropped  uint64 `json:"spans_dropped"`
 

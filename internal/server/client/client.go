@@ -45,13 +45,6 @@ type RetryPolicy struct {
 	OnRetry func(status int, wait time.Duration)
 }
 
-// DefaultRetryPolicy suits a load generator hammering one server: a few
-// quick retries under half-jitter, bounded well under a virtual
-// decision period.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.5}
-}
-
 // delay computes the wait before retry attempt i (1-based).
 func (p RetryPolicy) delay(attempt int, hint time.Duration) time.Duration {
 	base := p.BaseDelay
@@ -311,14 +304,6 @@ func (m Message) AsEvent() (server.Event, error) {
 	var ev server.Event
 	err := json.Unmarshal(m.Data, &ev)
 	return ev, err
-}
-
-// AsJobStatus decodes the payload as a server.JobStatus ("status"
-// frames).
-func (m Message) AsJobStatus() (server.JobStatus, error) {
-	var st server.JobStatus
-	err := json.Unmarshal(m.Data, &st)
-	return st, err
 }
 
 // AsUtil decodes the payload as a server.UtilPoint ("timeline" frames).

@@ -308,10 +308,10 @@ func (f *faultyWAL) Append(r wal.Record) (uint64, error) {
 }
 
 // TestSubmitFailureStatus: which side a refused POST /v1/jobs blames. A
-// log that cannot take the record is the server's failure — a 500, which
-// a retrying client treats as such — and never the 400 that tells the
-// client its request was malformed; a job the log cannot frame and a
-// taken ID are the client's. Every reply lists the prefix accepted
+// log that cannot take the record is the server's failure — a 500, the
+// class an operator's error-rate alert counts — and never the 400 that
+// tells the client its request was malformed; a job the log cannot frame
+// and a taken ID are the client's. Every reply lists the prefix accepted
 // before the refusal, and the acknowledged jobs are what the directory
 // recovers.
 func TestSubmitFailureStatus(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -240,7 +239,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // retryAfterSeconds is the hint sent with backpressure refusals (429
 // queue-full, 503 draining): long enough to let the scheduler drain a
-// decision cycle, short enough that a loadgen ramp recovers quickly.
+// decision cycle, short enough that a ramp of retrying submitters
+// recovers quickly.
 const retryAfterSeconds = 1
 
 // refuse writes a backpressure reply: the Retry-After hint plus a
@@ -257,8 +257,8 @@ func (s *Server) refuse(w http.ResponseWriter, code int, cause string, accepted 
 // Responses: 202 with the accepted IDs — written only after the WAL (if
 // any) has made the submissions durable — 400 with field-level errors
 // on a bad submission, 409 on a duplicate job ID, 429 when the
-// admission backlog is full, 503 while draining. 429 and 503 carry a
-// Retry-After hint.
+// admission backlog is full, 503 while draining, 500 when the WAL cannot
+// take the submission. 429 and 503 carry a Retry-After hint.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	entries, err := jobspec.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -292,15 +292,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		if err := s.sched.Submit(j); err != nil {
 			s.mu.Unlock()
-			msg := err.Error()
+			code := http.StatusBadRequest
 			switch {
-			case strings.Contains(msg, "duplicate job ID"):
-				writeJSON(w, http.StatusConflict, SubmitResponse{Accepted: accepted, Error: msg})
-			case strings.Contains(msg, "draining") || strings.Contains(msg, "finished"):
+			case errors.Is(err, sched.ErrDraining):
 				s.refuse(w, http.StatusServiceUnavailable, "draining", accepted, err)
-			default:
-				writeJSON(w, http.StatusBadRequest, SubmitResponse{Accepted: accepted, Error: msg})
+				return
+			case errors.Is(err, sched.ErrDuplicateID):
+				code = http.StatusConflict
+			case errors.Is(err, sched.ErrWAL):
+				// Ours, not the request's: a client must not read a dead
+				// disk as its own malformed job.
+				code = http.StatusInternalServerError
 			}
+			writeJSON(w, code, SubmitResponse{Accepted: accepted, Error: err.Error()})
 			return
 		}
 		accepted = append(accepted, j.ID)

@@ -49,6 +49,7 @@ package wal
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -514,6 +515,11 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 // bytes, so 1 MiB is reached only by hostile input.
 const maxFrameBytes = 1 << 20
 
+// ErrFrameTooLarge is what Append wraps when it refuses a record over
+// that bound: the one Append error that blames the record and leaves
+// the log usable.
+var ErrFrameTooLarge = errors.New("wal: frame too large")
+
 // scanFrames calls fn for every non-empty line of r, without its
 // newline, and stops at the first fn error. A final line lacking its
 // newline (a torn tail from a crashed writer) is still delivered;
@@ -574,7 +580,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 	size := len(line) + 10 // 8 hex digits, a space, the payload, a newline
 	if size > maxFrameBytes {
 		// The caller's record is at fault, not the log: not sticky either.
-		return 0, fmt.Errorf("wal: %s record frames to %d bytes, over the %d-byte bound", r.Kind, size, maxFrameBytes)
+		return 0, fmt.Errorf("%w: %s record frames to %d bytes, over the %d-byte bound", ErrFrameTooLarge, r.Kind, size, maxFrameBytes)
 	}
 	frame := make([]byte, 0, size)
 	frame = fmt.Appendf(frame, "%08x ", crc32.ChecksumIEEE(line))
