@@ -45,8 +45,8 @@ type MarketConfig struct {
 	Observer *obs.Observer
 	// Parallel bounds the worker fan-out of β-table training and of the
 	// harnesses whose tasks are whole runs (the two-arm studies, the zone
-	// and preemptible samples; not RunSchemes, whose cells are too cheap
-	// to hand out): <= 0 means runtime.GOMAXPROCS(0), 1 runs fully serial.
+	// and preemptible samples; not RunSchemes, whose cells take
+	// microseconds): <= 0 means runtime.GOMAXPROCS(0), 1 runs fully serial.
 	// Every harness seeds tasks from (seed, task index) and folds ordered
 	// per-task results, so output is bit-identical at every setting.
 	Parallel int
@@ -313,8 +313,8 @@ func runSchemeCell(cfg MarketConfig, kind SchemeKind, zone *zoneEnv, spec core.J
 // over the same price history, so schemes face identical conditions.
 //
 // The (scheme, zone, sample) grid is a plain loop, scheme-major in
-// presentation order: a cell costs microseconds once its zone is built,
-// less than handing it to a worker.
+// presentation order: a cell costs about ten microseconds once its zone
+// is built, too little for a worker pool to be worth its code.
 func RunSchemes(cfg MarketConfig, jobHours float64, samples int) ([]SchemeAverage, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("experiments: samples must be positive")

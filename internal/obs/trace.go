@@ -191,13 +191,14 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
+// finish retains a finished span.
 func (t *Tracer) finish(sp SpanData) {
 	t.mu.Lock()
 	t.recordLocked(sp)
 	t.mu.Unlock()
 }
 
-// recordLocked retains a finished span.
+// recordLocked is finish for callers holding the lock.
 func (t *Tracer) recordLocked(sp SpanData) {
 	t.spans.push(sp)
 	t.truncateLocked()
@@ -211,8 +212,10 @@ func (t *Tracer) Absorb(spans []SpanData) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, sp := range spans {
-		t.finish(sp)
+		t.recordLocked(sp)
 	}
 }
 

@@ -81,7 +81,7 @@ func (s *Scheduler) Submit(job Job) error {
 		if errors.Is(err, wal.ErrFrameTooLarge) {
 			return fmt.Errorf("sched: job %d: %w", job.ID, err)
 		}
-		return fmt.Errorf("sched: job %d: %w: %w", job.ID, ErrWAL, err)
+		return fmt.Errorf("%w: job %d: %w", ErrWAL, job.ID, err)
 	}
 	if s.started {
 		s.eng.AtTransient(arriveAt, "sched.arrival", func() { s.arrive(j) })
