@@ -408,3 +408,38 @@ func TestChargedThrough(t *testing.T) {
 		t.Fatalf("ChargedThrough at boundary = %v, want 2h", got)
 	}
 }
+
+// TestHeldAllocationBillsHoursWithoutAllocating pins the in-place re-arm
+// of the billing-hour event in both markets: an allocation held for a
+// long run is billed every hour, and each hour must move the one event
+// it already has rather than allocate a new event and closure.
+func TestHeldAllocationBillsHoursWithoutAllocating(t *testing.T) {
+	const hours = 100
+	perHour := func(eng *sim.Engine) float64 {
+		return testing.AllocsPerRun(hours, func() { eng.RunUntil(eng.Now() + time.Hour) })
+	}
+
+	eng, m := newTestMarket(t, flatSet(allPrices(), 0, 0, 0))
+	a, err := m.RequestSpot("c4.xlarge", 4, 0.209)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := perHour(eng); allocs != 0 {
+		t.Errorf("spot market: %v allocations per billing hour, want 0", allocs)
+	}
+	if got, want := a.hoursBegun, hours+2; got != want {
+		t.Errorf("spot market: %d hours begun, want %d", got, want)
+	}
+
+	peng, pm := newPreemptible(t, PreemptibleConfig{MTTP: 10000 * time.Hour, MaxLifetime: 10000 * time.Hour})
+	pa, err := pm.RequestPreemptible("c4.xlarge", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := perHour(peng); allocs != 0 {
+		t.Errorf("preemptible market: %v allocations per billing hour, want 0", allocs)
+	}
+	if got, want := pa.hoursBegun, hours+2; got != want {
+		t.Errorf("preemptible market: %d hours begun, want %d", got, want)
+	}
+}

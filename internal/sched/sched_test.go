@@ -539,3 +539,28 @@ func TestSchedulerValidation(t *testing.T) {
 		t.Fatal("second Run accepted")
 	}
 }
+
+// TestRecomputeRateReArmsWithoutAllocating pins the in-place re-arm of
+// a running job's completion: every rebalance recomputes each running
+// job's rate and moves its completion, and a sparse-long run does that
+// hundreds of thousands of times. Moving it must allocate nothing — no
+// new event, no new closure — and leave exactly one event queued.
+func TestRecomputeRateReArmsWithoutAllocating(t *testing.T) {
+	eng, mkt, brain := testHarness(t, 1)
+	s, err := New(eng, mkt, testConfig(brain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &jobRun{job: Job{ID: 0, Name: "running", Spec: smallSpec()}, state: Running, leasedCores: 128}
+	s.recomputeRate(j)
+	if allocs := testing.AllocsPerRun(100, func() { s.recomputeRate(j) }); allocs != 0 {
+		t.Fatalf("re-arming a running job's completion allocates %v times per call, want 0", allocs)
+	}
+	if eng.Pending() != 1 {
+		t.Fatalf("%d events queued after 101 re-arms of one completion, want 1", eng.Pending())
+	}
+	want := time.Duration(smallSpec().TargetWork / j.rate * float64(time.Hour))
+	if at, ok := eng.Next(); !ok || at != want {
+		t.Fatalf("completion queued at %v (%v), want %v", at, ok, want)
+	}
+}

@@ -25,7 +25,8 @@ type refEvent struct {
 	canceled bool
 }
 
-func (ev *refEvent) Cancel() { ev.canceled = true }
+func (ev *refEvent) Cancel()        { ev.canceled = true }
+func (ev *refEvent) Canceled() bool { return ev.canceled }
 
 func (r *refEngine) Now() time.Duration { return r.now }
 func (r *refEngine) Fired() uint64      { return r.fired }
@@ -60,6 +61,16 @@ func (r *refEngine) at(t time.Duration, _ string, fn func()) canceler {
 }
 
 func (r *refEngine) atTransient(t time.Duration, name string, fn func()) { r.at(t, name, fn) }
+
+// reschedule is Cancel followed by a fresh At with the same callback: a
+// new event, so the old one (if it is still queued) is skipped.
+func (r *refEngine) reschedule(c canceler, t time.Duration) canceler {
+	old := c.(*refEvent)
+	old.Cancel()
+	ev := &refEvent{at: t, fn: old.fn}
+	r.push(ev)
+	return ev
+}
 
 type refTicker struct {
 	r       *refEngine
@@ -138,7 +149,10 @@ func (r *refEngine) RunUntil(deadline time.Duration) {
 	}
 }
 
-type canceler interface{ Cancel() }
+type canceler interface {
+	Cancel()
+	Canceled() bool
+}
 type stopper interface{ Stop() }
 
 // simAPI is what a differential program drives; realEngine adapts
@@ -148,6 +162,9 @@ type simAPI interface {
 	Fired() uint64
 	at(t time.Duration, name string, fn func()) canceler
 	atTransient(t time.Duration, name string, fn func())
+	// reschedule re-arms c at t with its own callback and returns the
+	// handle that now stands for it.
+	reschedule(c canceler, t time.Duration) canceler
 	every(period time.Duration, name string, fn func()) stopper
 	Step() bool
 	Next() (time.Duration, bool)
@@ -161,6 +178,11 @@ func (e realEngine) at(t time.Duration, name string, fn func()) canceler {
 }
 func (e realEngine) atTransient(t time.Duration, name string, fn func()) {
 	e.AtTransient(t, name, fn)
+}
+func (e realEngine) reschedule(c canceler, t time.Duration) canceler {
+	ev := c.(*Event)
+	e.Reschedule(ev, t)
+	return ev
 }
 func (e realEngine) every(period time.Duration, name string, fn func()) stopper {
 	return e.Every(period, name, fn)
@@ -222,10 +244,34 @@ func (p *program) schedule() {
 	h.c = p.api.at(h.at, name, func() {
 		h.dead = true
 		p.live--
-		p.fire(name)
 		h.c.Cancel() // canceling the event that is firing is a no-op
+		p.fire(name)
+		// The event re-arms itself from inside its own callback, as a
+		// market hour does.
+		if p.rng.Intn(4) == 0 {
+			p.reschedule(h)
+		}
 	})
 	p.handles = append(p.handles, h)
+}
+
+// reschedule re-arms a handle for a fresh delay, whatever state it is in
+// — pending, fired, or canceled — the way scheduleCompletion moves a
+// running job's completion.
+func (p *program) reschedule(h *progHandle) {
+	if p.budget <= 0 {
+		return
+	}
+	p.budget--
+	if h.dead {
+		h.dead = false
+		p.live++
+	}
+	h.at = p.api.Now() + p.delay()
+	h.c = p.api.reschedule(h.c, h.at)
+	if h.c.Canceled() {
+		p.log = append(p.log, firing{"a re-armed handle reports Canceled", p.api.Now()})
+	}
 }
 
 func (p *program) scheduleTransient() {
@@ -323,7 +369,7 @@ func (p *program) fire(name string) {
 func (p *program) mutate() {
 	// Weighted towards scheduling so the queue grows until the budget is
 	// spent, then drains under the cancels.
-	switch p.rng.Intn(12) {
+	switch p.rng.Intn(14) {
 	case 10, 11, 0, 1, 2:
 		p.schedule()
 	case 3:
@@ -343,9 +389,14 @@ func (p *program) mutate() {
 			p.tickers[p.rng.Intn(len(p.tickers))].Stop()
 		}
 	case 9:
-		// The scheduleCompletion pattern: cancel and re-arm later.
+		// Cancel the root and arm a new event in its place.
 		p.cancelRoot()
 		p.schedule()
+	case 12, 13:
+		// Any handle at all, re-armed in place.
+		if len(p.handles) > 0 {
+			p.reschedule(p.handles[p.rng.Intn(len(p.handles))])
+		}
 	}
 }
 
@@ -390,8 +441,11 @@ func (p *program) run() []firing {
 // RunUntil observations, final clock and Fired count. Covered: cancel
 // from inside a callback, of an already-fired event, of the firing
 // event itself, double cancel, Ticker.Stop inside its own tick (twice)
-// with a successor armed in the same tick, Stop from outside, and cancel
-// of the queue's root while RunUntil is between peeks. The engine's
+// with a successor armed in the same tick, Stop from outside, cancel of
+// the queue's root while RunUntil is between peeks, and Reschedule —
+// checked against the reference's Cancel + At — of a pending event, a
+// fired one, a canceled one, and the firing event from inside its own
+// callback. The engine's
 // Pending must also equal the script's own count of live events after
 // every driver step (the reference, being lazy, has no such number).
 func TestEngineMatchesLazySkipReference(t *testing.T) {
