@@ -514,21 +514,21 @@ func BenchmarkSchedulerMultiTenant(b *testing.B) {
 
 // BenchmarkEngineCancelReschedule times one engine step under the
 // scheduler's scheduleCompletion pattern: a two-minute decision tick
-// that cancels each of three running jobs' completion events, due days
-// ahead, and re-arms them. 6,000 re-arms have happened before the timer
-// starts, so an engine that leaves canceled events queued until they
-// surface is measured pushing and popping through thousands of dead
+// that moves each of three running jobs' completion events, due days
+// ahead, with Reschedule. 6,000 re-arms have happened before the timer
+// starts, so an engine that kept moved events queued until they surface
+// is measured pushing and popping through thousands of dead
 // completions, as a sparse-long run does.
 func BenchmarkEngineCancelReschedule(b *testing.B) {
 	eng := sim.NewEngine()
 	completions := make([]*sim.Event, 3)
 	done := func() {}
+	for j := range completions {
+		completions[j] = eng.At(time.Duration(60+j)*time.Hour, "complete", done)
+	}
 	eng.Every(2*time.Minute, "tick", func() {
 		for j, ev := range completions {
-			if ev != nil {
-				ev.Cancel()
-			}
-			completions[j] = eng.At(eng.Now()+time.Duration(60+j)*time.Hour, "complete", done)
+			eng.Reschedule(ev, eng.Now()+time.Duration(60+j)*time.Hour)
 		}
 	})
 	for i := 0; i < 2000; i++ {

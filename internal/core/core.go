@@ -150,17 +150,19 @@ func (j *jobSim) pause(d time.Duration) {
 	j.scheduleCompletion()
 }
 
+// scheduleCompletion moves the completion event to where the current
+// rate and pause put it, or takes it off the queue. The event and its
+// closure are made once per job and re-armed in place after.
 func (j *jobSim) scheduleCompletion() {
-	if j.completion != nil {
-		j.completion.Cancel()
-		j.completion = nil
-	}
-	if j.done || j.rate <= 0 {
-		return
-	}
+	progressing := !j.done && j.rate > 0
 	remaining := j.spec.TargetWork - j.work
-	if remaining <= 0 {
-		j.finish()
+	if !progressing || remaining <= 0 {
+		if j.completion != nil {
+			j.completion.Cancel()
+		}
+		if progressing {
+			j.finish()
+		}
 		return
 	}
 	start := j.eng.Now()
@@ -168,7 +170,11 @@ func (j *jobSim) scheduleCompletion() {
 		start = j.pausedTo
 	}
 	at := start + time.Duration(remaining/j.rate*float64(time.Hour))
-	j.completion = j.eng.At(at, "job.complete", func() { j.finish() })
+	if j.completion == nil {
+		j.completion = j.eng.At(at, "job.complete", j.finish)
+		return
+	}
+	j.eng.Reschedule(j.completion, at)
 }
 
 func (j *jobSim) finish() {

@@ -521,31 +521,40 @@ func (m *Market) chargeHour(a *Allocation, pricePerHour float64) {
 	hc.c.Add(charge)
 }
 
-// scheduleHourBoundary arranges the next hourly charge and rolls the
-// just-completed hour into usage accounting.
+// scheduleHourBoundary arms the allocation's next billing-hour event.
+// The event and its closure are made at grant and re-armed in place from
+// then on.
 func (m *Market) scheduleHourBoundary(a *Allocation) {
 	boundary := a.HourEnd(m.Engine.Now())
-	a.hourEv = m.Engine.At(boundary, "market.hour", func() {
-		if a.state != Active && a.state != Warned {
-			return
+	if a.hourEv == nil {
+		a.hourEv = m.Engine.At(boundary, "market.hour", func() { m.onHour(a) })
+		return
+	}
+	m.Engine.Reschedule(a.hourEv, boundary)
+}
+
+// onHour charges the next hourly bill and rolls the just-completed hour
+// into usage accounting.
+func (m *Market) onHour(a *Allocation) {
+	if a.state != Active && a.state != Warned {
+		return
+	}
+	// The completed hour was paid: record its usage.
+	h := float64(a.Count)
+	if a.OnDemand {
+		m.usage.OnDemandHours += h
+	} else {
+		m.usage.SpotHours += h
+	}
+	price := a.Type.OnDemand
+	if !a.OnDemand {
+		p, err := m.SpotPrice(a.Type.Name)
+		if err == nil {
+			price = p
 		}
-		// The completed hour was paid: record its usage.
-		h := float64(a.Count)
-		if a.OnDemand {
-			m.usage.OnDemandHours += h
-		} else {
-			m.usage.SpotHours += h
-		}
-		price := a.Type.OnDemand
-		if !a.OnDemand {
-			p, err := m.SpotPrice(a.Type.Name)
-			if err == nil {
-				price = p
-			}
-		}
-		m.chargeHour(a, price)
-		m.scheduleHourBoundary(a)
-	})
+	}
+	m.chargeHour(a, price)
+	m.scheduleHourBoundary(a)
 }
 
 // scheduleEviction looks ahead in the (deterministic) price trace for the

@@ -246,25 +246,34 @@ func (m *PreemptibleMarket) charge(a *Allocation, price float64) {
 	m.cost += c
 }
 
+// scheduleHour arms the allocation's next billing-hour event, made at
+// grant and re-armed in place from then on.
 func (m *PreemptibleMarket) scheduleHour(a *Allocation) {
 	boundary := a.HourEnd(m.Engine.Now())
-	a.hourEv = m.Engine.At(boundary, "preemptible.hour", func() {
-		if a.state != Active && a.state != Warned {
-			return
-		}
-		h := float64(a.Count)
-		if a.OnDemand {
-			m.usage.OnDemandHours += h
-		} else {
-			m.usage.SpotHours += h
-		}
-		price := a.Type.OnDemand
-		if !a.OnDemand {
-			price, _ = m.PreemptiblePrice(a.Type.Name)
-		}
-		m.charge(a, price)
-		m.scheduleHour(a)
-	})
+	if a.hourEv == nil {
+		a.hourEv = m.Engine.At(boundary, "preemptible.hour", func() { m.onHour(a) })
+		return
+	}
+	m.Engine.Reschedule(a.hourEv, boundary)
+}
+
+// onHour charges the next hour and records the completed one's usage.
+func (m *PreemptibleMarket) onHour(a *Allocation) {
+	if a.state != Active && a.state != Warned {
+		return
+	}
+	h := float64(a.Count)
+	if a.OnDemand {
+		m.usage.OnDemandHours += h
+	} else {
+		m.usage.SpotHours += h
+	}
+	price := a.Type.OnDemand
+	if !a.OnDemand {
+		price, _ = m.PreemptiblePrice(a.Type.Name)
+	}
+	m.charge(a, price)
+	m.scheduleHour(a)
 }
 
 func (m *PreemptibleMarket) settle(a *Allocation, free bool) {

@@ -449,7 +449,9 @@ func (t *Tracer) recent(n int) ([]SpanData, uint64) {
 			skip -= len(chunk)
 			continue
 		}
-		out = append(out, chunk[skip:]...)
+		for j := skip; j < len(chunk); j++ {
+			out = append(out, t.spans.unpack(&chunk[j]))
+		}
 		skip = 0
 	}
 	return out, uint64(t.spans.n) + t.dropped
@@ -518,8 +520,8 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanData {
 	for i := range t.spans.chunks {
 		chunk := t.spans.live(i)
 		for j := range chunk {
-			if chunk[j].TraceID == traceID {
-				out = append(out, chunk[j])
+			if chunk[j].traceID == traceID {
+				out = append(out, t.spans.unpack(&chunk[j]))
 			}
 		}
 	}

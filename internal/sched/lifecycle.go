@@ -468,17 +468,19 @@ func (s *Scheduler) pauseJob(j *jobRun, d time.Duration) {
 	s.scheduleCompletion(j)
 }
 
+// scheduleCompletion moves the job's completion event to where its
+// current rate and pause put it, or takes it off the queue. The event
+// and its closure are made once per job and re-armed in place after.
 func (s *Scheduler) scheduleCompletion(j *jobRun) {
-	if j.completion != nil {
-		j.completion.Cancel()
-		j.completion = nil
-	}
-	if j.state != Running || j.rate <= 0 {
-		return
-	}
+	progressing := j.state == Running && j.rate > 0
 	remaining := j.job.Spec.TargetWork - j.work
-	if remaining <= 0 {
-		s.onJobDone(j)
+	if !progressing || remaining <= 0 {
+		if j.completion != nil {
+			j.completion.Cancel()
+		}
+		if progressing {
+			s.onJobDone(j)
+		}
 		return
 	}
 	start := s.eng.Now()
@@ -486,5 +488,9 @@ func (s *Scheduler) scheduleCompletion(j *jobRun) {
 		start = j.pausedTo
 	}
 	at := start + time.Duration(remaining/j.rate*float64(time.Hour))
-	j.completion = s.eng.At(at, "sched.complete", func() { s.onJobDone(j) })
+	if j.completion == nil {
+		j.completion = s.eng.At(at, "sched.complete", func() { s.onJobDone(j) })
+		return
+	}
+	s.eng.Reschedule(j.completion, at)
 }

@@ -99,7 +99,9 @@ type Engine struct {
 	// of 256-struct arrays so a multi-month run costs one heap allocation
 	// per 256 events instead of one each. Handed-out structs are never
 	// recycled into new events unless they were transient (no handle
-	// exists that could observe the reuse).
+	// exists that could observe the reuse). The flip side: one handle
+	// still held keeps its whole 14 KiB chunk alive, so holders re-arm
+	// theirs with Reschedule instead of allocating a new one.
 	slab []Event
 	// free holds fired transient events ready for reuse.
 	free []*Event
@@ -174,6 +176,27 @@ func (e *Engine) AtTransient(t time.Duration, name string, fn func()) {
 	ev.at, ev.seq, ev.fn, ev.name, ev.eng, ev.transient = t, e.seq, fn, name, e, true
 	e.seq++
 	heap.Push(&e.events, ev)
+}
+
+// Reschedule re-arms ev to fire at t with its own name and callback,
+// reusing its struct: the firing order is exactly that of ev.Cancel()
+// followed by At(t, ev.Name(), fn), because the sequence number is drawn
+// at the same point. ev may be pending, fired (even from inside its own
+// callback), or canceled; it is live again afterwards. Holders of a
+// long-lived handle — a job's completion, an allocation's billing hour —
+// re-arm it rather than allocate a new event each time. Rescheduling an
+// AtTransient event is not possible: no handle to one exists.
+func (e *Engine) Reschedule(ev *Event, t time.Duration) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: rescheduling %q at %v, before now %v", ev.name, t, e.now))
+	}
+	ev.at, ev.seq, ev.canceled = t, e.seq, false
+	e.seq++
+	if ev.index >= 0 {
+		heap.Fix(&e.events, int(ev.index))
+	} else {
+		heap.Push(&e.events, ev)
+	}
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -267,10 +290,8 @@ type Ticker struct {
 	stopped bool
 }
 
-// schedule arms the next tick. The first call allocates the ticker's
-// Event; later calls re-push the just-fired struct with a fresh sequence
-// number — drawn at exactly the point the old allocate-per-tick code
-// drew it (after fn ran), so event ordering is unchanged.
+// schedule arms the next tick: the first call allocates the ticker's
+// Event, later ones Reschedule the just-fired struct.
 func (t *Ticker) schedule() {
 	e := t.engine
 	at := e.now + t.period
@@ -278,10 +299,7 @@ func (t *Ticker) schedule() {
 		t.ev = e.At(at, t.name, t.tick)
 		return
 	}
-	ev := t.ev
-	ev.at, ev.seq, ev.canceled = at, e.seq, false
-	e.seq++
-	heap.Push(&e.events, ev)
+	e.Reschedule(t.ev, at)
 }
 
 // Stop cancels future ticks. It is safe to call from inside the tick
