@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -95,12 +96,28 @@ func (p *storePair) newKind() {
 	}
 }
 
+// chunkEdge reports whether the i-th span a store is handed (from 0)
+// lands on the first or the last slot of its chunk, given the chunk
+// sizes push grows by.
+func chunkEdge(i int) bool {
+	for size := firstChunk; ; size = min(2*size, maxChunk) {
+		if i < size {
+			return i == 0 || i == size-1
+		}
+		i -= size
+	}
+}
+
 // span makes the next distinguishable span, spread over five traces
 // (trace 0 is the flat, untraced one) and the pairs in use so far — every
 // third span takes the newest, so a pair appears as soon as newKind adds
-// it — with every other field varied too: an empty and a set Detail and
-// Wall, nil and comparable non-nil Attrs, Open and not.
+// it — with every other field varied too: Wall, Open, and an empty and a
+// set Detail, drawn from a few values that recur in every chunk, from
+// values that each last 100 spans and so straddle chunk boundaries, or
+// new on this span alone; nil and comparable non-nil Attrs, always set
+// on the first and the last slot of a chunk.
 func (p *storePair) span() SpanData {
+	edge := chunkEdge(p.next)
 	p.next++
 	kind := spanKinds[p.kinds-1]
 	if p.next%3 != 0 {
@@ -117,14 +134,19 @@ func (p *storePair) span() SpanData {
 		Wall:      time.Duration(p.next % 13),
 		Open:      p.next%4 == 0,
 	}
-	if p.next%6 != 0 {
+	switch p.next % 6 {
+	case 1, 2:
 		sp.Detail = fmt.Sprint("d", p.next%7)
+	case 3, 4:
+		sp.Detail = fmt.Sprint("w", p.next/100)
+	case 5:
+		sp.Detail = fmt.Sprint("u", p.next)
 	}
-	switch p.next % 3 {
-	case 1:
+	switch {
+	case edge || p.next%5 == 1:
 		sp.Attrs = p.next
-	case 2:
-		sp.Attrs = fmt.Sprint("a", p.next%5)
+	case p.next%5 == 3:
+		sp.Attrs = fmt.Sprint("a", p.next%4)
 	}
 	return sp
 }
@@ -289,7 +311,8 @@ func TestSpanStoreConcurrent(t *testing.T) {
 // retained ones. A finished span now allocates less than once (a chunk
 // per 4,096) whatever the limit, so the bytes it moves cannot scale
 // with it — and they are one stored record's worth, so a store that
-// went back to keeping the 120-byte SpanData fails here too.
+// went back to a wider record (a string header or an Attrs interface in
+// it) fails here too.
 func TestSpanLimitRetentionIsConstantTime(t *testing.T) {
 	perSpan := func(limit int) (allocs float64, bytes uint64) {
 		tr := NewTracer(nil)
@@ -308,7 +331,7 @@ func TestSpanLimitRetentionIsConstantTime(t *testing.T) {
 		}
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	const recordBytes = 88 // a storedSpan on a 64-bit platform
+	const recordBytes = 56 // a storedSpan on a 64-bit platform
 	for _, limit := range []int{100, 10000, 100000} {
 		allocs, bytes := perSpan(limit)
 		if allocs >= 1 {
@@ -319,4 +342,75 @@ func TestSpanLimitRetentionIsConstantTime(t *testing.T) {
 				limit, bytes, recordBytes)
 		}
 	}
+}
+
+// TestStoredSpanHoldsNoPointers holds the stored record to plain words.
+// A chunk of records is then allocated without pointers, so the GC
+// never scans the retained spans, and nothing a span was handed (a
+// rendered detail, an Attrs value) is kept alive by the record itself.
+func TestStoredSpanHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Interface, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Slice, reflect.Map, reflect.Func, reflect.Chan:
+			t.Errorf("%s is of kind %s: a storedSpan must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		}
+	}
+	walk("storedSpan", reflect.TypeOf(storedSpan{}))
+}
+
+// retainedPerSpan finishes n lease-shaped spans on a tracer retaining
+// at most limit (0 = all), the i-th with detail(i), and returns the heap
+// the tracer still holds afterwards, per span finished.
+func retainedPerSpan(limit, n int, detail func(i int) string) float64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewTracer(nil)
+	tr.SetLimit(limit)
+	for i := 0; i < n; i++ {
+		tr.Start("sched", "lease").EndDetail(detail(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// TestSpanStoreRetainedBytes bounds what a retained span costs after a
+// collection. Lease details are rendered fresh for every span from a few
+// distinct values; a store that kept each rendered string (a 16-byte
+// header in the record plus the bytes) holds about 88 + 32 bytes a span,
+// one that keeps a chunk's distinct details once holds the 56-byte
+// record and little more. Under a retention limit the held heap must
+// stay bounded by the limit and a chunk or two even when every detail
+// is new: a detail table that outlived the chunks it serves would grow
+// with every span ever finished.
+func TestSpanStoreRetainedBytes(t *testing.T) {
+	t.Run("recurring details", func(t *testing.T) {
+		const n, perSpan = 50000, 64
+		got := retainedPerSpan(0, n, func(i int) string {
+			return fmt.Sprintf("alloc %d: 16 cores held %v", i%40, time.Duration(i%3+1)*time.Hour)
+		})
+		if got > perSpan {
+			t.Errorf("%d spans whose details take 40 values retain %.1f bytes each, want at most %d", n, got, perSpan)
+		}
+	})
+	t.Run("limit, every detail new", func(t *testing.T) {
+		const n, limit, perSlot = 100000, 100, 256
+		got := retainedPerSpan(limit, n, func(i int) string {
+			return fmt.Sprintf("alloc %d: 16 cores held 1h0m0s", i)
+		}) * n
+		if bound := float64((limit + 2*maxChunk) * perSlot); got > bound {
+			t.Errorf("limit %d: %d spans with distinct details retain %.0f bytes, want at most %.0f (the limit and two chunks)", limit, n, got, bound)
+		}
+	})
 }
