@@ -444,13 +444,14 @@ func (t *Tracer) recent(n int) ([]SpanData, uint64) {
 	skip := max(0, t.spans.n-n)
 	out := make([]SpanData, 0, t.spans.n-skip)
 	for i := range t.spans.chunks {
-		chunk := t.spans.live(i)
-		if skip >= len(chunk) {
-			skip -= len(chunk)
+		c := &t.spans.chunks[i]
+		from := t.spans.first(i)
+		if skip >= len(c.recs)-from {
+			skip -= len(c.recs) - from
 			continue
 		}
-		for j := skip; j < len(chunk); j++ {
-			out = append(out, t.spans.unpack(&chunk[j]))
+		for j := from + skip; j < len(c.recs); j++ {
+			out = append(out, t.spans.unpack(c, j))
 		}
 		skip = 0
 	}
@@ -518,10 +519,10 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanData {
 	defer t.mu.Unlock()
 	var out []SpanData
 	for i := range t.spans.chunks {
-		chunk := t.spans.live(i)
-		for j := range chunk {
-			if chunk[j].traceID == traceID {
-				out = append(out, t.spans.unpack(&chunk[j]))
+		c := &t.spans.chunks[i]
+		for j := t.spans.first(i); j < len(c.recs); j++ {
+			if c.recs[j].traceID == traceID {
+				out = append(out, t.spans.unpack(c, j))
 			}
 		}
 	}
