@@ -59,15 +59,16 @@ func main() {
 	proactive := flag.Bool("proactive", false, "run the reactive-vs-proactive eviction study: the tenant mix (-jobs, default 8) once reacting to market warnings only, once with the online forecaster pre-draining ahead of predicted evictions")
 	jobsFile := flag.String("jobs-file", "", "run the JSON job mix at this path through the multi-tenant scheduler")
 	policy := flag.String("policy", "fair", "multi-tenant placement policy: fair, cost-greedy, deadline")
+	serveDefaults := defaultServeOptions()
 	serve := flag.Bool("serve", false, "run the multi-tenant scheduler as a long-running HTTP control plane")
 	serveForecast := flag.Bool("forecast", false, "with -serve, enable the online eviction forecaster: jobs submitted with \"proactive\": true are pre-drained ahead of predicted evictions, and /v1/stats gains the forecast block")
-	addr := flag.String("addr", ":8080", "with -serve, the listen address for the control-plane API")
-	speedup := flag.Float64("speedup", 60, "with -serve, virtual seconds per wall second while jobs run (0 = as fast as possible)")
+	addr := flag.String("addr", serveDefaults.addr, "with -serve, the listen address for the control-plane API")
+	speedup := flag.Float64("speedup", serveDefaults.speedup, "with -serve, virtual seconds per wall second while jobs run (0 = as fast as possible)")
 	walDir := flag.String("wal-dir", "", "with -serve, append every submission and state transition to a write-ahead log in this directory; a directory already holding a log is recovered (crash restart) instead of started fresh")
-	walSegMB := flag.Int("wal-segment-mb", 4, "with -wal-dir, segment size in MiB before snapshot+compaction")
+	walSegMB := flag.Int("wal-segment-mb", serveDefaults.walSegmentMB, "with -wal-dir, segment size in MiB before snapshot+compaction")
 	maxQueue := flag.Int("max-queue", 0, "with -serve, cap on jobs waiting for admission; submissions beyond it get 429 + Retry-After (0 = unbounded)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "with -serve, cap on simultaneously running jobs (0 = unbounded)")
-	traceLimit := flag.Int("trace-limit", 0, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it (0 = keep all)")
+	traceLimit := flag.Int("trace-limit", serveDefaults.traceLimit, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it (0 = keep all)")
 	days := flag.Int("days", 0, "market evaluation window in days (0 keeps the default)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text metrics to this file at exit")
 	traceOut := flag.String("trace-out", "", "write the JSONL span trace to this file at exit")

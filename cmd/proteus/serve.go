@@ -41,6 +41,12 @@ type serveOptions struct {
 	forecast bool
 }
 
+// defaultServeOptions are -serve's defaults: the command line's flags
+// start from them.
+func defaultServeOptions() serveOptions {
+	return serveOptions{addr: ":8080", speedup: 60, walSegmentMB: 4}
+}
+
 // openWAL creates or recovers the service's write-ahead log. On
 // recovery the returned replay carries the crashed run's inputs and the
 // logged Meta, which the caller must use in place of its own flags —
@@ -52,6 +58,27 @@ func openWAL(o serveOptions, meta wal.Meta) (wal.Writer, *wal.Replay, error) {
 	}
 	l, err := wal.Create(o.walDir, meta, opts)
 	return l, nil, err
+}
+
+// newServeScheduler assembles -serve's scheduler over env: the
+// observer's span retention and clock, the policy, the concurrency cap,
+// the forecaster and the write-ahead log, recovering the logged run when
+// replay is non-nil.
+func newServeScheduler(env *experiments.Env, o *obs.Observer, policy sched.Policy,
+	so serveOptions, wlog wal.Writer, replay *wal.Replay) (*sched.Scheduler, error) {
+	o.Trace().SetLimit(so.traceLimit)
+	o.SetClock(env.Engine.Now)
+	scfg := experiments.SchedConfig(env.Brain, policy)
+	scfg.Observer = o
+	scfg.MaxConcurrent = so.maxConcurrent
+	if so.forecast {
+		scfg.Forecast = forecast.DefaultOptions()
+	}
+	if replay != nil {
+		return sched.Recover(env.Engine, env.Market, scfg, replay, wlog)
+	}
+	scfg.WAL = wlog
+	return sched.New(env.Engine, env.Market, scfg)
 }
 
 // runServe runs the multi-tenant scheduler as a long-running HTTP
@@ -116,26 +143,11 @@ func runServe(ctx context.Context, cfg experiments.MarketConfig, o *obs.Observer
 	}
 
 	cfg.Observer = o
-	o.Trace().SetLimit(so.traceLimit)
 	env, err := experiments.NewEnv(cfg, bidbrain.DefaultParams())
 	if err != nil {
 		return err
 	}
-	o.SetClock(env.Engine.Now)
-
-	scfg := experiments.SchedConfig(env.Brain, policy)
-	scfg.Observer = o
-	scfg.MaxConcurrent = so.maxConcurrent
-	if so.forecast {
-		scfg.Forecast = forecast.DefaultOptions()
-	}
-	var sc *sched.Scheduler
-	if replay != nil {
-		sc, err = sched.Recover(env.Engine, env.Market, scfg, replay, wlog)
-	} else {
-		scfg.WAL = wlog
-		sc, err = sched.New(env.Engine, env.Market, scfg)
-	}
+	sc, err := newServeScheduler(env, o, policy, so, wlog, replay)
 	if err != nil {
 		return err
 	}
