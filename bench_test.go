@@ -261,7 +261,8 @@ func BenchmarkSpanTree(b *testing.B) {
 		}
 		root.Eventf("sched", "done", "complete")
 		root.End()
-		roots = obs.BuildTree(tr.TraceSpans(traceID))
+		spans, _ := tr.TraceSpans(traceID)
+		roots = obs.BuildTree(spans)
 		if len(roots) != 1 {
 			b.Fatal("tree not rooted")
 		}

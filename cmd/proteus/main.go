@@ -68,7 +68,7 @@ func main() {
 	walSegMB := flag.Int("wal-segment-mb", serveDefaults.walSegmentMB, "with -wal-dir, segment size in MiB before snapshot+compaction")
 	maxQueue := flag.Int("max-queue", 0, "with -serve, cap on jobs waiting for admission; submissions beyond it get 429 + Retry-After (0 = unbounded)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "with -serve, cap on simultaneously running jobs (0 = unbounded)")
-	traceLimit := flag.Int("trace-limit", serveDefaults.traceLimit, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it (0 = keep all)")
+	traceLimit := flag.Int("trace-limit", serveDefaults.traceLimit, "with -serve, cap on retained trace spans; oldest finished spans are evicted past it, and -trace-out writes the retained spans only (0 = keep all)")
 	days := flag.Int("days", 0, "market evaluation window in days (0 keeps the default)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text metrics to this file at exit")
 	traceOut := flag.String("trace-out", "", "write the JSONL span trace to this file at exit")

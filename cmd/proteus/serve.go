@@ -32,8 +32,10 @@ type serveOptions struct {
 	maxQueue int
 	// maxConcurrent caps simultaneously running jobs; 0 unbounded.
 	maxConcurrent int
-	// traceLimit bounds retained spans (oldest finished spans evicted);
-	// 0 keeps everything.
+	// traceLimit bounds retained spans: past it the oldest finished
+	// spans are evicted, and a job whose trace lost spans says so in GET
+	// /v1/jobs/{id}/trace. Defaults to defaultTraceLimit; 0 keeps all.
+	// -trace-out writes the retained spans only.
 	traceLimit int
 	// forecast enables the online eviction forecaster (default options):
 	// jobs submitted with "proactive": true are pre-drained ahead of
@@ -41,10 +43,16 @@ type serveOptions struct {
 	forecast bool
 }
 
+// defaultTraceLimit is how many finished spans -serve keeps by default,
+// so its memory does not grow with uptime: 65,536 spans are about 4 MiB
+// of records, the last 10 or so job trees on sparse-long and far more on
+// short-job mixes.
+const defaultTraceLimit = 65536
+
 // defaultServeOptions are -serve's defaults: the command line's flags
 // start from them.
 func defaultServeOptions() serveOptions {
-	return serveOptions{addr: ":8080", speedup: 60, walSegmentMB: 4}
+	return serveOptions{addr: ":8080", speedup: 60, walSegmentMB: 4, traceLimit: defaultTraceLimit}
 }
 
 // openWAL creates or recovers the service's write-ahead log. On

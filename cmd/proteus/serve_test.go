@@ -25,6 +25,10 @@ const (
 	// heapJobRowBytes is what the 4× run may keep per extra job: the
 	// job's scheduler record, index entries and result row.
 	heapJobRowBytes = 1 << 10
+	// heapAllocRowBytes is what it may keep per extra market allocation:
+	// Market.Allocations() returns every allocation ever made, so each
+	// stays as a 160-byte record plus its map entry.
+	heapAllocRowBytes = 256
 )
 
 // heapMix lays copies of the fixture end to end on the virtual clock,
@@ -58,8 +62,8 @@ func heapMix(t *testing.T, copies int) []sched.Job {
 // defaults (observer, write-ahead log, fair policy) and returns the live
 // heap it leaves after the drain, measured after runtime.GC from just
 // before the scheduler is built, so the market environment is outside
-// it.
-func serveHeap(t *testing.T, jobs []sched.Job) uint64 {
+// it, and how many allocations the market made.
+func serveHeap(t *testing.T, jobs []sched.Job) (heap uint64, allocs int) {
 	t.Helper()
 	cfg := experiments.DefaultMarketConfig()
 	cfg.EvalDays = heapMixDays
@@ -106,21 +110,23 @@ func serveHeap(t *testing.T, jobs []sched.Job) uint64 {
 	runtime.KeepAlive(sc)
 	runtime.KeepAlive(res)
 	runtime.KeepAlive(env)
-	return after.HeapAlloc - before.HeapAlloc
+	return after.HeapAlloc - before.HeapAlloc, len(env.Market.Allocations())
 }
 
 // TestServeHeapFlatWithUptime: what a -serve process keeps after a
 // drain must not grow with how long it ran. The same mix laid end to
 // end four times may leave at most 1.25× the heap of one copy, plus one
-// row per extra job.
+// row per extra job and per extra market allocation.
 func TestServeHeapFlatWithUptime(t *testing.T) {
-	one := serveHeap(t, heapMix(t, 1))
-	four := serveHeap(t, heapMix(t, 4))
-	limit := one + one/4 + 3*heapMixJobs*heapJobRowBytes
-	t.Logf("live heap after the drain: 1× %.1f MiB, 4× %.1f MiB (limit %.1f MiB)",
-		float64(one)/(1<<20), float64(four)/(1<<20), float64(limit)/(1<<20))
+	one, allocsOne := serveHeap(t, heapMix(t, 1))
+	four, allocsFour := serveHeap(t, heapMix(t, 4))
+	rows := uint64(3*heapMixJobs*heapJobRowBytes + (allocsFour-allocsOne)*heapAllocRowBytes)
+	limit := one + one/4 + rows
+	t.Logf("live heap after the drain: 1× %.1f MiB, 4× %.1f MiB (limit %.1f MiB, of which %.1f MiB for %d extra jobs and %d extra allocations)",
+		float64(one)/(1<<20), float64(four)/(1<<20), float64(limit)/(1<<20),
+		float64(rows)/(1<<20), 3*heapMixJobs, allocsFour-allocsOne)
 	if four > limit {
-		t.Errorf("4× the uptime leaves %.1f MiB live, 1× leaves %.1f MiB: over 1.25× plus %d B per extra job",
-			float64(four)/(1<<20), float64(one)/(1<<20), heapJobRowBytes)
+		t.Errorf("4× the uptime leaves %.1f MiB live, 1× leaves %.1f MiB: over 1.25× plus the extra rows",
+			float64(four)/(1<<20), float64(one)/(1<<20))
 	}
 }

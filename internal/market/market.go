@@ -643,6 +643,9 @@ func (m *Market) cancelEvents(a *Allocation) {
 	if a.hourEv != nil {
 		a.hourEv.Cancel()
 	}
+	// An ended allocation stays in Allocations() for good; its dead
+	// events must not pin their engine slabs and closures with it.
+	a.warningEv, a.evictionEv, a.hourEv = nil, nil, nil
 }
 
 // allocKind labels an allocation for metrics.

@@ -77,6 +77,11 @@ type spanStore struct {
 	// index there. It is cleared when a new chunk starts, so no detail
 	// outlives the chunks that hold it.
 	tailDetails map[string]uint32
+
+	// dropped counts, per trace, the spans retention discarded: one
+	// entry per trace that lost any, which for the scheduler is one per
+	// job. Untraced spans (TraceID 0) are not counted here.
+	dropped map[uint64]uint64
 }
 
 func (s *spanStore) push(sp SpanData) {
@@ -166,14 +171,28 @@ func (s *spanStore) unpack(c *spanChunk, slot int) SpanData {
 	return sp
 }
 
-// dropFront discards the k oldest spans, k <= n.
+// dropFront discards the k oldest spans, k <= n, counting each traced
+// one against its trace.
 func (s *spanStore) dropFront(k int) {
 	s.n -= k
-	s.head += k
-	for len(s.chunks) > 1 && s.head >= len(s.chunks[0].recs) {
-		s.head -= len(s.chunks[0].recs)
-		s.chunks[0] = spanChunk{}
-		s.chunks = s.chunks[1:]
+	for k > 0 {
+		recs := s.chunks[0].recs[s.head:]
+		m := min(k, len(recs))
+		for i := range recs[:m] {
+			if id := recs[i].traceID; id != 0 {
+				if s.dropped == nil {
+					s.dropped = make(map[uint64]uint64)
+				}
+				s.dropped[id]++
+			}
+		}
+		s.head += m
+		k -= m
+		if s.head == len(s.chunks[0].recs) && len(s.chunks) > 1 {
+			s.head = 0
+			s.chunks[0] = spanChunk{}
+			s.chunks = s.chunks[1:]
+		}
 	}
 }
 

@@ -17,6 +17,8 @@ type refStore struct {
 	limit   int
 	dropped uint64
 	drops   []int // every OnDrop amount, in order
+	// byTrace counts the dropped spans of each trace.
+	byTrace map[uint64]uint64
 }
 
 func (r *refStore) finish(sp SpanData) {
@@ -33,15 +35,21 @@ func (r *refStore) truncate() {
 	if r.limit > 0 && len(r.spans) > r.limit {
 		over := len(r.spans) - r.limit
 		r.dropped += uint64(over)
+		for _, sp := range r.spans[:over] {
+			if r.byTrace == nil {
+				r.byTrace = map[uint64]uint64{}
+			}
+			r.byTrace[sp.TraceID]++
+		}
 		r.spans = r.spans[over:]
 		r.drops = append(r.drops, over)
 	}
 }
 
-// trace is TraceSpans: nil for the zero (untraced) ID by contract.
-func (r *refStore) trace(id uint64) []SpanData {
+// trace is TraceSpans: nil and 0 for the zero (untraced) ID by contract.
+func (r *refStore) trace(id uint64) ([]SpanData, uint64) {
 	if id == 0 {
-		return nil
+		return nil, 0
 	}
 	var out []SpanData
 	for _, sp := range r.spans {
@@ -49,7 +57,18 @@ func (r *refStore) trace(id uint64) []SpanData {
 			out = append(out, sp)
 		}
 	}
-	return out
+	return out, r.byTrace[id]
+}
+
+// sameTrace compares TraceSpans for one trace, spans and drop count.
+func (p *storePair) sameTrace(what string, id uint64) {
+	p.t.Helper()
+	got, gotDropped := p.tr.TraceSpans(id)
+	want, wantDropped := p.ref.trace(id)
+	sameSpans(p.t, what+": TraceSpans", got, want)
+	if gotDropped != wantDropped {
+		p.t.Fatalf("%s: TraceSpans(%d) dropped %d, want %d", what, id, gotDropped, wantDropped)
+	}
 }
 
 func sameSpans(t *testing.T, what string, got, want []SpanData) {
@@ -190,6 +209,9 @@ func (p *storePair) check(what string) {
 		}
 	}
 	sameSpans(p.t, what+": Spans", p.tr.Spans(), p.ref.spans)
+	for id := uint64(0); id < 6; id++ {
+		p.sameTrace(what, id)
+	}
 }
 
 // TestSpanStoreMatchesSliceReference is the differential test of the
@@ -214,8 +236,7 @@ func TestSpanStoreMatchesSliceReference(t *testing.T) {
 				t.Fatalf("op %d: Len = %d, want %d", op, got, want)
 			}
 		case k < 95:
-			id := uint64(rng.Intn(6))
-			sameSpans(t, "TraceSpans", p.tr.TraceSpans(id), p.ref.trace(id))
+			p.sameTrace(fmt.Sprint("op ", op), uint64(rng.Intn(6)))
 		default:
 			p.check("random op")
 		}
@@ -231,9 +252,6 @@ func TestSpanStoreBoundarySizes(t *testing.T) {
 		p := newStorePair(t)
 		p.absorb(n)
 		p.check("filled")
-		for _, id := range []uint64{0, 1, 4} {
-			sameSpans(t, "TraceSpans", p.tr.TraceSpans(id), p.ref.trace(id))
-		}
 		for _, limit := range []int{1, 63, 64, 65, 4095, 4096, 4097} {
 			p.setLimit(limit)
 			p.check("lowered")

@@ -510,10 +510,14 @@ func (t *Tracer) OpenSpans() []SpanData {
 
 // TraceSpans returns every retained span of one trace — finished spans
 // in completion order, then snapshots of the trace's still-open spans —
-// ready for BuildTree. A zero traceID returns nil.
-func (t *Tracer) TraceSpans(traceID uint64) []SpanData {
+// ready for BuildTree, and how many of the trace's finished spans
+// retention has discarded, read under the same lock: the trace emitted
+// exactly len(spans) + dropped spans so far. The scan reads only what is
+// retained, so under SetLimit(n) it costs O(n) whatever the uptime. A
+// zero traceID returns nil and 0.
+func (t *Tracer) TraceSpans(traceID uint64) (spans []SpanData, dropped uint64) {
 	if t == nil || traceID == 0 {
-		return nil
+		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -526,7 +530,7 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanData {
 			}
 		}
 	}
-	return append(out, t.openSnapshotLocked(traceID)...)
+	return append(out, t.openSnapshotLocked(traceID)...), t.spans.dropped[traceID]
 }
 
 // Filter returns retained spans matching component and/or name; empty

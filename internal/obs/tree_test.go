@@ -152,7 +152,7 @@ func TestTraceSpansIncludesOpenSnapshots(t *testing.T) {
 	root.Eventf("sched", "submit", "x")
 	now = 5 * time.Second
 
-	spans := tr.TraceSpans(id)
+	spans, _ := tr.TraceSpans(id)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want finished event + open root", len(spans))
 	}
@@ -173,7 +173,8 @@ func TestTraceSpansIncludesOpenSnapshots(t *testing.T) {
 		t.Fatal("open root missing from TraceSpans")
 	}
 	root.End()
-	for _, sp := range tr.TraceSpans(id) {
+	spans, _ = tr.TraceSpans(id)
+	for _, sp := range spans {
 		if sp.Open {
 			t.Fatalf("span still Open after End: %+v", sp)
 		}

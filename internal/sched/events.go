@@ -260,9 +260,11 @@ type Stats struct {
 	Subscribers int
 
 	// EventsDropped counts scheduler events lost to slow subscribers
-	// (cumulative, including closed subscriptions); SpansDropped counts
-	// trace spans discarded by tracer retention. Both zero on a healthy
-	// service — the SLO gate asserts exactly that.
+	// (cumulative, including closed subscriptions): zero unless a viewer
+	// falls behind. SpansDropped counts trace spans discarded by tracer
+	// retention: it grows steadily on a service whose span limit is set
+	// (-serve keeps the newest 65,536 by default), and GET
+	// /v1/jobs/{id}/trace says which traces lost spans.
 	EventsDropped int
 	SpansDropped  uint64
 
@@ -324,14 +326,15 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Timeline returns a copy of the utilization timeline recorded so far:
-// the flushed, coalesced points — one per instant that changed state,
-// each emitted to the event stream exactly once — so replayed history
-// and the live SSE feed agree point for point.
+// Timeline returns a copy of the utilization timeline kept so far,
+// oldest first with At strictly increasing. The newest 4,096 to 8,191
+// flushed points — one per instant that changed state, each emitted to
+// the event stream exactly once — are there as emitted, so the replayed
+// tail and the live SSE feed agree point for point. Older history is
+// one point per virtual hour, At on the hour, holding the maximum of
+// each field over the points it replaced.
 func (s *Scheduler) Timeline() []UtilPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]UtilPoint, len(s.timeline))
-	copy(out, s.timeline)
-	return out
+	return s.timeline.points()
 }

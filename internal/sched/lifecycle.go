@@ -264,7 +264,7 @@ func (s *Scheduler) settleLocked() (*Result, error) {
 		HarvestedRefunds: harvested,
 		Makespan:         makespan,
 		Rebalances:       s.rebalances,
-		Timeline:         s.timeline,
+		Timeline:         s.timeline.points(),
 	}
 	for _, p := range pendings {
 		if p.alloc.State() != market.Evicted {
@@ -414,6 +414,9 @@ func (s *Scheduler) onJobDone(j *jobRun) {
 	s.accrueJob(j)
 	s.setState(j, Done)
 	s.removeRunning(j)
+	// Done is terminal, so the completion handle is never re-armed: a
+	// finished job, kept for good, must not pin the event's slab.
+	j.completion = nil
 	j.finished = s.eng.Now()
 	s.walTransition(wal.Record{Kind: wal.KindDone, JobID: j.job.ID, Amount: j.work})
 	s.jobCounter("done").Inc()

@@ -147,7 +147,9 @@ type Result struct {
 	Makespan   time.Duration
 	Rebalances int
 	Usage      market.Usage
-	Timeline   []UtilPoint
+	// Timeline is the utilization history kept at settle, as
+	// Scheduler.Timeline returns it.
+	Timeline []UtilPoint
 }
 
 // ElasticHooks lets a per-job elasticity controller (e.g. AgileML)
@@ -367,7 +369,7 @@ type Scheduler struct {
 	ticker        *sim.Ticker
 	rebalances    int
 	eventsDropped int // cumulative across all subscriptions, incl. closed
-	timeline      []UtilPoint
+	timeline      utilTimeline
 	runErr        error
 
 	// O(1) indexes over s.jobs, so a service ingesting ~1M jobs never
@@ -597,14 +599,15 @@ func (s *Scheduler) observeState(changed bool) {
 
 // flushTimelineLocked commits the pending utilization point to the
 // retained timeline and the event stream. Emission happens only here —
-// on the simulation thread, once per instant — so replayed history
-// (Timeline, /v1/timeline) and the live SSE stream agree point for
-// point.
+// on the simulation thread, once per instant — so the live SSE stream
+// gets every point, and replayed history (Timeline, /v1/timeline)
+// serves the same points until they age into the timeline's hourly
+// tier.
 func (s *Scheduler) flushTimelineLocked() {
 	if !s.pendingUtilSet {
 		return
 	}
 	s.pendingUtilSet = false
-	s.timeline = append(s.timeline, s.pendingUtil)
+	s.timeline.add(s.pendingUtil)
 	s.emitTimeline(s.pendingUtil)
 }

@@ -334,7 +334,7 @@ func TestJobTraceTreeCoverage(t *testing.T) {
 		if st.TraceID != obs.NewTraceID(42, uint64(i)) {
 			t.Fatalf("job %d trace ID %x not derived from the config seed", i, st.TraceID)
 		}
-		spans := o.Trace().TraceSpans(st.TraceID)
+		spans, _ := o.Trace().TraceSpans(st.TraceID)
 		roots := obs.BuildTree(spans)
 		if len(roots) != 1 {
 			t.Fatalf("job %d: %d roots, want 1 — a parent link is broken", i, len(roots))

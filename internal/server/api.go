@@ -91,8 +91,10 @@ type Stats struct {
 	Draining    bool `json:"draining"`
 	Subscribers int  `json:"subscribers"`
 
-	// Telemetry loss counters; both stay zero on a healthy service
-	// (TestTraceEndpoint asserts exactly that over real HTTP).
+	// Telemetry loss counters. events_dropped stays zero unless an SSE
+	// viewer falls behind; spans_dropped counts spans span retention
+	// discarded, which grows steadily under -serve's default
+	// -trace-limit (per trace: GET /v1/jobs/{id}/trace).
 	EventsDropped int    `json:"events_dropped"`
 	SpansDropped  uint64 `json:"spans_dropped"`
 
@@ -235,14 +237,18 @@ type TraceSpan struct {
 	Children     []TraceSpan `json:"children,omitempty"`
 }
 
-// TraceResponse is the body of GET /v1/jobs/{id}/trace. Roots normally
-// holds exactly the job's root span; orphaned subtrees (parents lost to
-// tracer retention) surface as extra roots rather than disappearing.
+// TraceResponse is the body of GET /v1/jobs/{id}/trace. Spans counts
+// the spans in Roots; SpansDropped counts the trace's spans that tracer
+// retention (-trace-limit) discarded, so the tree is whole only when it
+// is 0. Roots normally holds exactly the job's root span; orphaned
+// subtrees (parents lost to retention) surface as extra roots rather
+// than disappearing.
 type TraceResponse struct {
-	JobID   int         `json:"job_id"`
-	TraceID string      `json:"trace_id"`
-	Spans   int         `json:"spans"`
-	Roots   []TraceSpan `json:"roots"`
+	JobID        int         `json:"job_id"`
+	TraceID      string      `json:"trace_id"`
+	Spans        int         `json:"spans"`
+	SpansDropped uint64      `json:"spans_dropped"`
+	Roots        []TraceSpan `json:"roots"`
 }
 
 func traceSpanWire(n *obs.TraceNode) TraceSpan {
@@ -263,12 +269,13 @@ func traceSpanWire(n *obs.TraceNode) TraceSpan {
 	return out
 }
 
-func traceResponseWire(jobID int, traceID uint64, spans []obs.SpanData) TraceResponse {
+func traceResponseWire(jobID int, traceID uint64, spans []obs.SpanData, dropped uint64) TraceResponse {
 	resp := TraceResponse{
-		JobID:   jobID,
-		TraceID: obs.IDString(traceID),
-		Spans:   len(spans),
-		Roots:   []TraceSpan{},
+		JobID:        jobID,
+		TraceID:      obs.IDString(traceID),
+		Spans:        len(spans),
+		SpansDropped: dropped,
+		Roots:        []TraceSpan{},
 	}
 	for _, root := range obs.BuildTree(spans) {
 		resp.Roots = append(resp.Roots, traceSpanWire(root))

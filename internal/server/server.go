@@ -332,9 +332,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace returns the job's assembled causal trace tree: every
-// recorded span of the trace — finished ones plus snapshots of any still
-// open — rooted at the job span. 404 for unknown jobs, 503 when the
-// server runs without a tracer.
+// retained span of the trace — finished ones plus snapshots of any still
+// open — rooted at the job span, with spans_dropped counting the spans
+// of this trace that span retention discarded (the tree is whole only
+// when it is 0). 404 for unknown jobs, 410 when retention discarded
+// every span of the trace, 503 when the server runs without a tracer.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
@@ -351,8 +353,12 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("tracing disabled"))
 		return
 	}
-	spans := tr.TraceSpans(st.TraceID)
-	writeJSON(w, http.StatusOK, traceResponseWire(id, st.TraceID, spans))
+	spans, dropped := tr.TraceSpans(st.TraceID)
+	if len(spans) == 0 && dropped > 0 {
+		writeError(w, http.StatusGone, fmt.Errorf("job %d's trace is gone: span retention discarded all %d of its spans", id, dropped))
+		return
+	}
+	writeJSON(w, http.StatusOK, traceResponseWire(id, st.TraceID, spans, dropped))
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

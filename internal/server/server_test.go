@@ -28,6 +28,13 @@ import (
 // call this with the same seed, so the two runs see identical markets.
 func testHarness(t testing.TB, seed int64) (*sim.Engine, *market.Market, *bidbrain.Brain) {
 	t.Helper()
+	return harnessDays(t, seed, 7)
+}
+
+// harnessDays is testHarness over an evaluation market of the given
+// length.
+func harnessDays(t testing.TB, seed int64, days int) (*sim.Engine, *market.Market, *bidbrain.Brain) {
+	t.Helper()
 	prices := market.CatalogPrices(market.DefaultCatalog())
 	hist := trace.GenerateSet("train", 7*24*time.Hour, prices, seed+1000)
 	betas := make(map[string]*trace.BetaTable)
@@ -39,7 +46,7 @@ func testHarness(t testing.TB, seed int64) (*sim.Engine, *market.Market, *bidbra
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := trace.GenerateSet("eval", 7*24*time.Hour, prices, seed)
+	eval := trace.GenerateSet("eval", time.Duration(days)*24*time.Hour, prices, seed)
 	eng := sim.NewEngine()
 	mkt, err := market.New(eng, market.Config{
 		Catalog: market.DefaultCatalog(),
