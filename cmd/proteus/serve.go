@@ -44,9 +44,10 @@ type serveOptions struct {
 }
 
 // defaultTraceLimit is how many finished spans -serve keeps by default,
-// so its memory does not grow with uptime: 65,536 spans are about 4 MiB
-// of records, the last 10 or so job trees on sparse-long and far more on
-// short-job mixes.
+// so its memory does not grow with uptime: about 4 MiB of records, the
+// spans of the last 40-odd jobs to finish on the benchmark's long-job
+// mix and of over a thousand on its short-job one (sized in DESIGN.md,
+// "Default span retention").
 const defaultTraceLimit = 65536
 
 // defaultServeOptions are -serve's defaults: the command line's flags

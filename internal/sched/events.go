@@ -327,12 +327,13 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Timeline returns a copy of the utilization timeline kept so far,
-// oldest first with At strictly increasing. The newest 4,096 to 8,191
-// flushed points — one per instant that changed state, each emitted to
-// the event stream exactly once — are there as emitted, so the replayed
-// tail and the live SSE feed agree point for point. Older history is
-// one point per virtual hour, At on the hour, holding the maximum of
-// each field over the points it replaced.
+// oldest first with At strictly increasing. The newest flushed points —
+// one per instant that changed state, each emitted to the event stream
+// exactly once — are there as emitted (all of them until 8,192 have
+// been flushed, then the newest 4,096 to 8,191), so the replayed tail
+// and the live SSE feed agree point for point. Older history is one
+// point per virtual hour, At on the hour, holding the maximum of each
+// field over the points it replaced.
 func (s *Scheduler) Timeline() []UtilPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()

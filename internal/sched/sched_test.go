@@ -564,3 +564,36 @@ func TestRecomputeRateReArmsWithoutAllocating(t *testing.T) {
 		t.Fatalf("completion queued at %v (%v), want %v", at, ok, want)
 	}
 }
+
+// TestFinishedJobHoldsNoEvent: the scheduler keeps every job it ran for
+// good, and engine events live in 256-event slabs, so a finished job
+// still referencing its fired completion would keep that event's whole
+// slab, and every dead closure in it, alive for the service's uptime.
+func TestFinishedJobHoldsNoEvent(t *testing.T) {
+	eng, mkt, brain := testHarness(t, 1)
+	s, err := New(eng, mkt, testConfig(brain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range eightJobs() {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, j := range s.jobs {
+		if j.state != Done {
+			continue
+		}
+		done++
+		if j.completion != nil {
+			t.Fatalf("finished job %d still holds its completion event", j.job.ID)
+		}
+	}
+	if done == 0 {
+		t.Fatal("no job finished")
+	}
+}

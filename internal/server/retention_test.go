@@ -22,12 +22,12 @@ import (
 
 // submitWave submits n jobs of the given size straight to the
 // scheduler, IDs from first, one arriving every `every` virtual minutes
-// from `from`, and waits until all are done.
-func submitWave(t *testing.T, sc *sched.Scheduler, first, n int, hours, from, every float64) {
+// (arrivals already past start now), and waits until all are done.
+func submitWave(t *testing.T, sc *sched.Scheduler, first, n int, hours, every float64) {
 	t.Helper()
 	entries := make([]jobspec.Entry, n)
 	for i := range entries {
-		entries[i] = jobspec.Entry{Hours: hours, ArrivalMinutes: from + every*float64(i), Priority: i % 3}
+		entries[i] = jobspec.Entry{Hours: hours, ArrivalMinutes: every * float64(i), Priority: i % 3}
 	}
 	jobs, err := jobspec.Jobs(entries, first)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestTimelineReplayPastFold(t *testing.T) {
 	defer drain()
 
 	// Enough lease churn that the timeline folds before anyone watches.
-	submitWave(t, sc, 0, 100, 8, 0, 180)
+	submitWave(t, sc, 0, 100, 8, 180)
 
 	w := &gatedWriter{hdr: http.Header{}, attached: make(chan struct{}), release: make(chan struct{})}
 	handled := make(chan struct{})
@@ -143,7 +143,7 @@ func TestTimelineReplayPastFold(t *testing.T) {
 	<-w.attached
 	// Attached but not yet replayed: this wave's points queue live for
 	// the viewer and land in the history it is about to replay.
-	submitWave(t, sc, 100, 5, 8, 0, 0)
+	submitWave(t, sc, 100, 5, 8, 0)
 	replayed := len(sc.Timeline())
 	close(w.release)
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -157,7 +157,7 @@ func TestTimelineReplayPastFold(t *testing.T) {
 			t.Fatalf("replay wrote %d of %d points", n, replayed)
 		}
 	}
-	submitWave(t, sc, 105, 5, 8, 0, 0)
+	submitWave(t, sc, 105, 5, 8, 0)
 
 	if err := drain(); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestTraceEndpointUnderRetention(t *testing.T) {
 
 	// Every span is still kept: record what each trace emitted.
 	emitted := map[int]int{}
-	traceOf := map[uint64]int{}
+	traceOf := map[uint64]int{} // trace ID -> job ID
 	for _, id := range ids {
 		st, _ := sc.Status(id)
 		spans, dropped := o.Trace().TraceSpans(st.TraceID)
@@ -276,49 +276,41 @@ func TestTraceEndpointUnderRetention(t *testing.T) {
 		emitted[id] = len(spans)
 		traceOf[st.TraceID] = id
 	}
-	// Keep exactly the spans from the last job's first one on: the last
-	// trace is untouched, the first is gone whole, the middle one keeps
-	// some or none.
+	// Keep the spans from half way through the middle job's on: the
+	// first trace is gone whole, the middle one keeps its newer half and
+	// the last is untouched.
 	all := o.Trace().Spans()
-	last := ids[len(ids)-1]
-	from := 0
-	for from < len(all) && traceOf[all[from].TraceID] != last {
-		from++
-	}
-	o.Trace().SetLimit(len(all) - from)
-
-	for _, id := range ids {
-		tr, err := c.JobTrace(context.Background(), id)
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusGone {
-			if id == last {
-				t.Fatalf("job %d: 410 for the trace retention has not reached", id)
-			}
-			continue
+	oldest, middle, newest := ids[0], ids[1], ids[len(ids)-1]
+	var mine []int
+	for i, sp := range all {
+		if id, ok := traceOf[sp.TraceID]; ok && id == middle {
+			mine = append(mine, i)
 		}
+	}
+	o.Trace().SetLimit(len(all) - mine[len(mine)/2])
+
+	_, err = c.JobTrace(context.Background(), oldest)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
+		t.Fatalf("job %d: %v, want 410: retention discarded every span of its trace", oldest, err)
+	}
+	if !strings.Contains(apiErr.Msg, fmt.Sprint(emitted[oldest])) {
+		t.Fatalf("the 410 does not say how many spans went: %q (emitted %d)", apiErr.Msg, emitted[oldest])
+	}
+	for _, id := range []int{middle, newest} {
+		tr, err := c.JobTrace(context.Background(), id)
 		if err != nil {
 			t.Fatalf("job %d: %v", id, err)
 		}
-		if id == ids[0] {
-			t.Fatalf("job %d: %d spans returned, want 410: retention discarded every span of its trace", id, tr.Spans)
+		if got, want := tr.SpansDropped, uint64(emitted[id]-tr.Spans); got != want || tr.Spans == 0 {
+			t.Fatalf("job %d: spans_dropped %d with %d spans returned, want %d (emitted %d)", id, got, tr.Spans, want, emitted[id])
 		}
-		if got, want := tr.SpansDropped, uint64(emitted[id]-tr.Spans); got != want {
-			t.Fatalf("job %d: spans_dropped %d, want %d (emitted %d, returned %d)", id, got, want, emitted[id], tr.Spans)
+		if id == middle && tr.SpansDropped == 0 {
+			t.Fatalf("job %d: spans_dropped 0 for a trace half outside the retained window", id)
 		}
-		if id == last && (tr.SpansDropped != 0 || len(tr.Roots) != 1) {
+		if id == newest && (tr.SpansDropped != 0 || len(tr.Roots) != 1) {
 			t.Fatalf("job %d: spans_dropped %d and %d roots for the newest trace, want 0 and 1", id, tr.SpansDropped, len(tr.Roots))
 		}
-		if id != last && tr.SpansDropped == 0 {
-			t.Fatalf("job %d: spans_dropped 0 for a trace older than the retained window", id)
-		}
-	}
-	gone, err := c.JobTrace(context.Background(), ids[0])
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
-		t.Fatalf("job %d: got %+v, %v; want 410", ids[0], gone, err)
-	}
-	if !strings.Contains(apiErr.Msg, fmt.Sprint(emitted[ids[0]])) {
-		t.Fatalf("the 410 does not say how many spans went: %q (emitted %d)", apiErr.Msg, emitted[ids[0]])
 	}
 	stats, err := c.Stats(context.Background())
 	if err != nil {
