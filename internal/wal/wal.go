@@ -38,6 +38,24 @@
 // writes a fresh snapshot and deletes the segments it covers, bounding
 // both disk and recovery time.
 //
+// A rotation costs what its segments added, not what the log has ever
+// accepted. The log keeps only the submissions appended since the last
+// snapshot, plus where that snapshot's jobs array lies in its file. The
+// next snapshot streams to snapshot.json.tmp in one pass: the old
+// array's elements copied as bytes, the new submissions encoded one at
+// a time. One fsync, the rename over snapshot.json and a directory sync
+// follow. The file is byte-identical to json.Marshal of the whole
+// Snapshot, so readers do not know how it was written. Only a snapshot
+// this process wrote is carried forward: Open writes its first one
+// whole, from the replay. A crash mid-rotation leaves one of three
+// states, and each recovers the inputs of the finished rotation:
+//
+//   - a truncated or complete snapshot.json.tmp beside the old snapshot:
+//     Recover never reads it, the sealed segments still hold every
+//     record, and Open's own snapshot overwrites it;
+//   - the new snapshot beside the segments it covers: Recover skips
+//     their records by sequence number, and Open removes them.
+//
 // Recovery streams each segment through scanFrames and decodeFrame
 // (CRC check + encoding/json), serially. Reading the log is
 // 1–2 % of a restart — the rest re-simulates the run — so nothing here
@@ -48,6 +66,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -245,8 +264,16 @@ type Log struct {
 	dirty      bool
 	closed     bool
 	err        error
-	submits    []JobRecord
 	lastVirtNs int64
+
+	// The snapshot file holds every submission before pending; the
+	// elements of its jobs array are its bytes [jobsOff, jobsEnd), an
+	// empty range when it holds none. Only a snapshot this Log wrote is
+	// carried forward: Open writes its first one whole.
+	pending []JobRecord
+	jobsOff int64
+	jobsEnd int64
+	submits int // recovered plus appended
 
 	appends   uint64
 	syncs     uint64
@@ -369,7 +396,7 @@ func Open(dir string, opts Options) (*Log, *Replay, error) {
 		opts:       opts.withDefaults(),
 		meta:       r.Meta,
 		nextSeq:    nextSeq,
-		submits:    append([]JobRecord(nil), r.Jobs...),
+		submits:    len(r.Jobs),
 		lastVirtNs: int64(r.LastVirtual),
 	}
 	if err := l.openSegmentLocked(); err != nil {
@@ -377,7 +404,7 @@ func Open(dir string, opts Options) (*Log, *Replay, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.snapshotLocked(); err != nil {
+	if err := l.snapshotLocked(r.Jobs); err != nil {
 		return nil, nil, err
 	}
 	if err := l.removeCoveredLocked(); err != nil {
@@ -423,7 +450,7 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 			return nil, false, fmt.Errorf("wal: %s: %w", snapshotName, err)
 		}
 		r.Meta = snap.Meta
-		r.Jobs = append(r.Jobs, snap.Jobs...)
+		r.Jobs = snap.Jobs
 		r.LastSeq = snap.LastSeq
 		r.LastVirtual = time.Duration(snap.LastVirtualNs)
 		r.FromSnapshot = true
@@ -600,7 +627,8 @@ func (l *Log) Append(r Record) (uint64, error) {
 	if r.Kind == KindSubmit && r.Job != nil {
 		jr := *r.Job
 		jr.Seq = r.Seq
-		l.submits = append(l.submits, jr)
+		l.pending = append(l.pending, jr)
+		l.submits++
 	}
 	if l.segFill >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -657,7 +685,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegmentLocked(); err != nil {
 		return err
 	}
-	if err := l.snapshotLocked(); err != nil {
+	if err := l.snapshotLocked(l.pending); err != nil {
 		return err
 	}
 	if err := l.removeCoveredLocked(); err != nil {
@@ -683,41 +711,93 @@ func (l *Log) openSegmentLocked() error {
 }
 
 // snapshotLocked writes snapshot.json (tmp + rename) covering every
-// record before the active segment's first sequence.
-func (l *Log) snapshotLocked() error {
-	snap := Snapshot{
-		Meta:          l.meta,
-		LastSeq:       l.segStart - 1,
-		LastVirtualNs: l.lastVirtNs,
-		Jobs:          l.submits,
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
+// record before the active segment's first sequence: the jobs the
+// current snapshot holds, then fresh. Once the new file is durable in
+// the directory, pending is cleared: the file holds those jobs now.
+func (l *Log) snapshotLocked(fresh []JobRecord) error {
 	tmp := filepath.Join(l.dir, snapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return err
+	jobsOff, jobsEnd, err := l.writeSnapshot(f, fresh)
+	if err == nil && !l.opts.NoSync {
+		err = f.Sync()
 	}
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
 		return err
 	}
 	l.snapshots++
-	return l.syncDir()
+	if err := l.syncDir(); err != nil {
+		return err
+	}
+	l.jobsOff, l.jobsEnd = jobsOff, jobsEnd
+	l.pending = nil
+	return nil
+}
+
+// writeSnapshot streams one snapshot into f and returns the byte range
+// of its jobs array's elements. The bytes are json.Marshal(Snapshot{…})
+// of the whole job list, written in one pass: the header, the current
+// snapshot's elements copied verbatim, then each fresh job encoded into
+// one reused buffer. So a rotation encodes only what its segments
+// added, and holds no more than one job's encoding at a time.
+func (l *Log) writeSnapshot(f *os.File, fresh []JobRecord) (jobsOff, jobsEnd int64, err error) {
+	// Marshalling the snapshot without jobs renders every other field
+	// exactly as the whole one would, ending in "jobs":null}.
+	head, err := json.Marshal(Snapshot{Meta: l.meta, LastSeq: l.segStart - 1, LastVirtualNs: l.lastVirtNs})
+	if err != nil {
+		return 0, 0, err
+	}
+	head = bytes.TrimSuffix(head, []byte("null}"))
+	w := bufio.NewWriterSize(f, 64*1024)
+	w.Write(head)
+	carried := l.jobsEnd - l.jobsOff
+	if carried == 0 && len(fresh) == 0 {
+		w.WriteString("null}") // json.Marshal of a nil slice
+		return 0, 0, w.Flush()
+	}
+	w.WriteByte('[')
+	jobsOff = int64(len(head)) + 1
+	jobsEnd = jobsOff
+	if carried > 0 {
+		old, err := os.Open(filepath.Join(l.dir, snapshotName))
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: %w", err)
+		}
+		n, err := io.Copy(w, io.NewSectionReader(old, l.jobsOff, carried))
+		old.Close() // read-only: nothing to lose
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: carrying %s forward: %w", snapshotName, err)
+		}
+		if n != carried {
+			return 0, 0, fmt.Errorf("wal: %s is shorter than the log wrote it", snapshotName)
+		}
+		jobsEnd += n
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range fresh {
+		if jobsEnd > jobsOff {
+			w.WriteByte(',')
+			jobsEnd++
+		}
+		buf.Reset()
+		if err := enc.Encode(&fresh[i]); err != nil {
+			return 0, 0, err
+		}
+		job := buf.Bytes()[:buf.Len()-1] // Encode ends each value with a newline
+		w.Write(job)
+		jobsEnd += int64(len(job))
+	}
+	w.WriteString("]}")
+	return jobsOff, jobsEnd, w.Flush() // bufio keeps the first write error
 }
 
 // removeCoveredLocked deletes segments fully covered by the snapshot
@@ -805,7 +885,7 @@ func (l *Log) Stats() Stats {
 		Syncs:       l.syncs,
 		Rotations:   l.rotations,
 		Snapshots:   l.snapshots,
-		Submits:     len(l.submits),
+		Submits:     l.submits,
 		SegmentFill: l.segFill,
 	}
 	if l.err != nil {
