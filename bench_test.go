@@ -234,9 +234,9 @@ func BenchmarkLiveFullStack(b *testing.B) {
 // BenchmarkSpanTree times the causal-tracing hot path the control plane
 // adds to every job: emitting one job-shaped trace (lifecycle events,
 // lease subtrees carrying bid/acquire/eviction events) and assembling
-// it into the rooted tree GET /v1/jobs/{id}/trace serves. Gated in CI
-// next to BenchmarkRunSchemesSerial, since every scheduled job pays
-// this cost whether or not anyone reads the trace.
+// it into the rooted tree GET /v1/jobs/{id}/trace serves. Every
+// scheduled job pays this cost whether or not anyone reads the trace;
+// obs.TestSpanTreeAllocs holds it to an allocation budget.
 func BenchmarkSpanTree(b *testing.B) {
 	b.ReportAllocs()
 	var roots []*obs.TraceNode
@@ -276,8 +276,8 @@ func BenchmarkSpanTree(b *testing.B) {
 // encode, checksum frame, buffered write — that every scheduler state
 // transition pays once a -wal-dir is configured. NoSync isolates the
 // encode path (the submit handler amortizes fsync via group commit, and
-// the segment is oversized so rotation/compaction never fires); gated in
-// CI so the per-record cost can't quietly grow.
+// the segment is oversized so rotation/compaction never fires).
+// wal.TestAppendAllocs holds the per-record allocations to a budget.
 func BenchmarkWALAppend(b *testing.B) {
 	l, err := wal.Create(b.TempDir(), wal.Meta{Seed: 1, Policy: "fair"},
 		wal.Options{NoSync: true, SegmentBytes: 1 << 30})
@@ -356,8 +356,9 @@ func BenchmarkRecovery(b *testing.B) {
 // the per-type event sharding: a PriceSub sweep that reports only the
 // types whose price moved since the last tick, cached prices serving
 // the rest. This is what replaced the per-type SpotPrice scan in the
-// scheduler's decide loop and forecast tick; gated in CI so the
-// per-tick cost can't quietly grow back to O(catalog).
+// scheduler's decide loop and forecast tick.
+// market.TestPricePollAllocatesNothing holds the poll at zero
+// allocations.
 func BenchmarkMarketPricePoll(b *testing.B) {
 	const horizon = 14 * 24 * time.Hour
 	const step = time.Minute
@@ -451,8 +452,9 @@ func BenchmarkSchedulerSubmit(b *testing.B) {
 // BenchmarkForecastUpdate times the online forecaster's per-tick hot
 // path — pending-window maintenance, β-sample closes, spike-detector
 // advance — that a proactive scheduler pays for every observed price on
-// every decision tick. Gated in CI: this must stay cheap enough to run
-// inside the scheduler's lock.
+// every decision tick. It must stay cheap enough to run inside the
+// scheduler's lock; forecast.TestUpdateAllocs holds its allocations to
+// a budget.
 func BenchmarkForecastUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := trace.Generate("c4.xlarge", "us-east-1a", 30*24*time.Hour,
@@ -570,7 +572,8 @@ func BenchmarkFairShareShares(b *testing.B) {
 // dispatched through the SSE hub to 16 live timeline viewers. The hub
 // encodes the frame once and fans pre-framed bytes out non-blocking, so
 // per-event cost is one encode plus 16 channel sends — not 16 JSON
-// marshals. Gated in CI against the stored baseline.
+// marshals. server.TestHubFanoutAllocs holds it to one allocation per
+// event.
 func BenchmarkSSEFanout(b *testing.B) {
 	const viewers = 16
 	hub := server.NewHub(nil, nil) // detached: the bench drives Dispatch

@@ -298,3 +298,44 @@ func TestAsciiBar(t *testing.T) {
 		t.Fatalf("AsciiBar with max=0 should be empty, got %q", got)
 	}
 }
+
+// TestWholeRunAllocs holds three whole runs to allocation ceilings: the
+// Fig. 8 (scheme, zone, sample) grid on one worker, the
+// reactive-vs-proactive study and the multi-tenant study. Each budget
+// is 1.15 × the count the run read when it was set (1,719, 2,823 and
+// 3,070), rounded down; a run over it has started allocating per event
+// or per tick where it did not.
+func TestWholeRunAllocs(t *testing.T) {
+	serial := fastCfg()
+	serial.Parallel = 1
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"RunSchemes serial", 1976, func() error {
+			_, err := RunSchemes(serial, 2, 3)
+			return err
+		}},
+		{"RunProactive", 3246, func() error {
+			_, err := RunProactive(fastCfg(), SyntheticJobs(8, 1), nil)
+			return err
+		}},
+		{"RunMultiTenant", 3530, func() error {
+			_, err := RunMultiTenant(fastCfg(), SyntheticJobs(8, 1), nil)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v allocs per run", allocs)
+			if allocs > c.budget {
+				t.Fatalf("%s allocates %v times, over the budget of %v", c.name, allocs, c.budget)
+			}
+		})
+	}
+}

@@ -376,3 +376,28 @@ func TestAdvanceSteadyMatchesAdvance(t *testing.T) {
 		t.Fatalf("exercised steady=%d changed=%d intervals; need both paths", steady, changed)
 	}
 }
+
+// TestUpdateAllocs holds the forecaster to 8 allocations for New and a
+// whole 30-day trace of Updates: a proactive scheduler feeds it every
+// observed price inside its decision tick, so an Update that allocates
+// per tick shows here as thousands.
+func TestUpdateAllocs(t *testing.T) {
+	const budget = 8
+	tr := genTrace(t, 1, 30)
+	allocs := testing.AllocsPerRun(10, func() {
+		f, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range tr.Points {
+			f.Update(pt.At, pt.Price)
+		}
+		if f.ClosedSamples() == 0 {
+			t.Fatal("no samples closed")
+		}
+	})
+	t.Logf("%v allocs for New and %d Updates", allocs, len(tr.Points))
+	if allocs > budget {
+		t.Fatalf("New and one 30-day trace of Updates allocate %v times, over the budget of %d", allocs, budget)
+	}
+}

@@ -69,3 +69,29 @@ func TestSubscribePricesMatchesSpotPrice(t *testing.T) {
 		t.Fatalf("no poll moved a strict subset of the catalog in %d polls; sharding unexercised", total)
 	}
 }
+
+// TestPricePollAllocatesNothing pins the price work of the scheduler's
+// and the forecaster's decision ticks at zero allocations: a
+// subscription is polled every virtual minute, and the moved types come
+// back in a slice it owns. Each run is an hour of polls, so a poll that
+// allocates only when some price moved still counts at least once.
+func TestPricePollAllocatesNothing(t *testing.T) {
+	set := trace.GenerateSet("test-zone", 5*24*time.Hour, CatalogPrices(DefaultCatalog()), 1)
+	_, m := newTestMarket(t, set)
+	ps := m.SubscribePrices()
+	ps.Poll(0)
+	now, moved := time.Duration(0), 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 60; i++ {
+			now += time.Minute
+			moved += len(ps.Poll(now))
+		}
+	})
+	t.Logf("%v allocs per hour of polls, %d types moved in 101 hours", allocs, moved)
+	if moved == 0 {
+		t.Fatal("no poll moved a price; the sweep went unexercised")
+	}
+	if allocs != 0 {
+		t.Fatalf("an hour of minute price polls allocates %v times, want 0", allocs)
+	}
+}

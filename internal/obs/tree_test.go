@@ -180,3 +180,47 @@ func TestTraceSpansIncludesOpenSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanTreeAllocs holds the tracing every scheduled job pays, read
+// or not, to 468 allocations: emit one job-shaped trace (lifecycle
+// events, eight lease subtrees of 20 events each) and assemble the
+// rooted tree GET /v1/jobs/{id}/trace serves. Under the race detector
+// the count moves (sync.Pool), so the budget runs without it only.
+func TestSpanTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("span rendering's allocation count moves under the race detector")
+	}
+	const budget = 468
+	job := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		tr := NewTracer(nil)
+		traceID := NewTraceID(1, job)
+		job++
+		root := tr.StartTrace(traceID, "sched", "job")
+		root.Eventf("server", "submit", "accepted")
+		root.Eventf("sched", "queued", "position 0")
+		root.Eventf("sched", "admitted", "admitted")
+		root.Eventf("sched", "running", "running")
+		for l := 0; l < 8; l++ {
+			lease := root.Child("sched", "lease")
+			lease.Eventf("bidbrain", "bid", "decision: acquire")
+			lease.Eventf("core", "acquire", "alloc %d", l)
+			for e := 0; e < 16; e++ {
+				lease.Eventf("agileml", "incorporate", "event %d", e)
+			}
+			lease.Eventf("core", "eviction-warning", "draining")
+			lease.Eventf("core", "refund", "refunded")
+			lease.End()
+		}
+		root.Eventf("sched", "done", "complete")
+		root.End()
+		spans, _ := tr.TraceSpans(traceID)
+		if roots := BuildTree(spans); len(roots) != 1 || len(roots[0].Children) == 0 {
+			t.Fatal("the trace did not assemble into one rooted tree")
+		}
+	})
+	t.Logf("%v allocs per traced job", allocs)
+	if allocs > budget {
+		t.Fatalf("tracing one job and building its tree allocates %v times, over the budget of %d", allocs, budget)
+	}
+}

@@ -305,3 +305,23 @@ func TestPoliciesMatchSortSliceReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFairShareSharesAllocs holds the placement policy every rebalance
+// calls to 2 allocations (the shares it returns and its leftover order)
+// at the two sizes the repo benchmark's workloads run it: 3 running jobs
+// (sparse-long) and 64 (dense-short). Priorities repeat, so the leftover
+// order is decided by the ID tie-break as often as by weight.
+func TestFairShareSharesAllocs(t *testing.T) {
+	const budget = 2
+	for _, n := range []int{3, 64} {
+		reqs := make([]ShareRequest, n)
+		for i := range reqs {
+			reqs[i] = ShareRequest{ID: (i * 37) % n, Priority: i % 3, MaxCores: 64 + 8*(i%5), RemainingWork: float64(1 + i%7)}
+		}
+		allocs := testing.AllocsPerRun(100, func() { FairShare{}.Shares(0, reqs, 96*n/3+1) })
+		t.Logf("%d jobs: %v allocs per call", n, allocs)
+		if allocs > budget {
+			t.Errorf("%d jobs: FairShare.Shares allocates %v times, over the budget of %d", n, allocs, budget)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"proteus/internal/obs"
 	"proteus/internal/sim"
 	"proteus/internal/trace"
+	"proteus/internal/wal"
 )
 
 // testBrain trains a brain on a synthetic history window, mirroring the
@@ -562,6 +563,53 @@ func TestRecomputeRateReArmsWithoutAllocating(t *testing.T) {
 	want := time.Duration(smallSpec().TargetWork / j.rate * float64(time.Hour))
 	if at, ok := eng.Next(); !ok || at != want {
 		t.Fatalf("completion queued at %v (%v), want %v", at, ok, want)
+	}
+}
+
+// TestSubmitAllocs holds Submit to its allocation budget, on a fresh
+// scheduler over 1,000 submissions: 3 per job without a WAL, 8 with one
+// (the submit record's JSON frame). Under 100 submissions one-time
+// growth still shows in the average (10 read 9 with the WAL), and under
+// the race detector the WAL's count moves (sync.Pool), so that case
+// runs without it only.
+func TestSubmitAllocs(t *testing.T) {
+	const runs = 1000
+	for _, c := range []struct {
+		name    string
+		withWAL bool
+		budget  float64
+	}{{"plain", false, 3}, {"wal", true, 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.withWAL && raceEnabled {
+				t.Skip("the WAL's allocation count moves under the race detector")
+			}
+			eng, mkt, brain := testHarness(t, 1)
+			cfg := testConfig(brain)
+			if c.withWAL {
+				l, err := wal.Create(t.TempDir(), wal.Meta{Seed: 1, Policy: "fair"},
+					wal.Options{NoSync: true, SegmentBytes: 1 << 30})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				cfg.WAL = l
+			}
+			s, err := New(eng, mkt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := s.Submit(Job{ID: id, Name: "tenant", Spec: smallSpec()}); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			})
+			t.Logf("%v allocs per Submit", allocs)
+			if allocs > c.budget {
+				t.Fatalf("Submit allocates %v times per job over %d jobs, over the budget of %v", allocs, runs, c.budget)
+			}
+		})
 	}
 }
 

@@ -367,3 +367,39 @@ func TestSSEAttachAfterIdleKeepsLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestHubFanoutAllocs holds the serve path's hot loop to one allocation
+// per event: a scheduler event dispatched through the hub to 16 live
+// timeline viewers is encoded once and fanned out as pre-framed bytes,
+// not marshalled per viewer. Under the race detector the count moves
+// (the JSON encoder's sync.Pool), so the budget runs without it only.
+func TestHubFanoutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the frame encoder's allocation count moves under the race detector")
+	}
+	const viewers, budget = 16, 1
+	hub := server.NewHub(nil, nil) // detached: the test drives Dispatch
+	var wg sync.WaitGroup
+	for i := 0; i < viewers; i++ {
+		conn := hub.Timeline(4096)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range conn.C {
+			}
+		}()
+	}
+	u := sched.UtilPoint{LeasedCores: 512, IdleCores: 32, Running: 8, Queued: 3}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		u.At = time.Duration(i) * time.Second
+		hub.Dispatch(sched.Event{Kind: sched.EventTimeline, At: u.At, JobID: -1, Util: &u})
+		i++
+	})
+	hub.Close()
+	wg.Wait()
+	t.Logf("%v allocs per event to %d viewers", allocs, viewers)
+	if allocs > budget {
+		t.Fatalf("dispatching one event to %d viewers allocates %v times, over the budget of %d", viewers, allocs, budget)
+	}
+}

@@ -280,3 +280,34 @@ func TestPropertyRunUntilEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRescheduleStepAllocatesNothing pins one engine step of the
+// scheduler's completion pattern at zero allocations: a two-minute tick
+// moves each of three running jobs' completions, due days ahead, with
+// Reschedule. 2,000 ticks (6,000 re-arms) run first, so an engine that
+// kept moved events queued would be stepping through thousands of dead
+// completions by then.
+func TestRescheduleStepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	completions := make([]*Event, 3)
+	done := func() {}
+	for j := range completions {
+		completions[j] = e.At(time.Duration(60+j)*time.Hour, "complete", done)
+	}
+	e.Every(2*time.Minute, "tick", func() {
+		for j, ev := range completions {
+			e.Reschedule(ev, e.Now()+time.Duration(60+j)*time.Hour)
+		}
+	})
+	for i := 0; i < 2000; i++ {
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
+	t.Logf("%v allocs per step", allocs)
+	if allocs != 0 {
+		t.Fatalf("a step that re-arms three completions allocates %v times, want 0", allocs)
+	}
+	if e.Pending() != len(completions)+1 {
+		t.Fatalf("%d events queued, want the %d completions and the tick", e.Pending(), len(completions))
+	}
+}

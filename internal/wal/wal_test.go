@@ -487,3 +487,89 @@ func TestRecordIsOneLine(t *testing.T) {
 		t.Fatalf("recovered %+v (err %v), want the name back intact", rep, err)
 	}
 }
+
+// TestAppendAllocs holds the append path every scheduler transition
+// pays (JSON encode, checksum frame, buffered write) to 4 allocations
+// per record. NoSync and an oversized segment leave fsync and rotation
+// out of it. Under the race detector the count moves (sync.Pool), so
+// the budget runs without it only.
+func TestAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the append path's allocation count moves under the race detector")
+	}
+	const budget = 4
+	l, err := Create(t.TempDir(), Meta{Seed: 1, Policy: "fair"}, Options{NoSync: true, SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, err := l.Append(Record{
+			Kind:   KindLease,
+			AtNs:   int64(i) * 1e6,
+			JobID:  i & 7,
+			Alloc:  i & 15,
+			Cores:  128,
+			Detail: "c4.xlarge spot",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%v allocs per Append", allocs)
+	if allocs > budget {
+		t.Fatalf("Append allocates %v times per record, over the budget of %d", allocs, budget)
+	}
+}
+
+// TestRecoverAllocs holds recovery of a log shaped like a real run (one
+// meta record, 256 submissions, 4,096 ticks in one segment) to 32,143
+// allocations: 1.15 × the 27,951 it read when the budget was set. A
+// restarted control plane replays its whole history before it serves,
+// so a decoder that allocates more per record shows here at once.
+func TestRecoverAllocs(t *testing.T) {
+	const budget = 32143
+	dir := t.TempDir()
+	l, err := Create(dir, Meta{Seed: 1, Policy: "fair"}, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bidbrain.DefaultParams()
+	spec := core.JobSpec{
+		TargetWork:    params.Phi * 256,
+		Params:        params,
+		ReliableType:  "c4.xlarge",
+		ReliableCount: 3,
+		MaxSpotCores:  512,
+		ChunkCores:    128,
+	}
+	for i := 0; i < 256; i++ {
+		job := JobRecord{ID: i, Name: "tenant", ArrivalNs: int64(i) * 1e9, Spec: spec}
+		if _, err := l.Append(Record{Kind: KindSubmit, JobID: i, Job: &job}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		if _, err := l.Append(Record{Kind: KindTick, AtNs: int64(i) * 1e8, JobID: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		rep, err := Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Jobs) != 256 {
+			t.Fatalf("recovered %d jobs, want 256", len(rep.Jobs))
+		}
+	})
+	t.Logf("%v allocs per Recover", allocs)
+	if allocs > budget {
+		t.Fatalf("Recover allocates %v times, over the budget of %d", allocs, budget)
+	}
+}
