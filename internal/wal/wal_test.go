@@ -164,6 +164,47 @@ func TestTornTailDropped(t *testing.T) {
 	}
 }
 
+// TestTickWritesThrough: a watermark reaches the kernel on Append, with
+// no Sync, so a SIGKILL keeps it (and every record before it); other
+// records wait in the buffer for the next Sync or watermark.
+func TestTickWritesThrough(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, testMeta(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	names, _, err := listSegments(dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments = %v (%v)", names, err)
+	}
+	seg := filepath.Join(dir, names[0])
+	onDisk := func() int {
+		t.Helper()
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(raw), "\n")
+	}
+	j := testJob(0)
+	if _, err := l.Append(Record{Kind: KindSubmit, JobID: 0, Job: &j}); err != nil {
+		t.Fatal(err)
+	}
+	if n := onDisk(); n != 1 {
+		t.Fatalf("%d frames in the segment after a submit, want only the meta record's: Append must buffer", n)
+	}
+	if _, err := l.Append(Record{Kind: KindTick, AtNs: int64(time.Hour), JobID: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := onDisk(); n != 3 {
+		t.Fatalf("%d frames in the segment after a tick, want 3 (meta, submit, tick) without a Sync", n)
+	}
+	if st := l.Stats(); st.Syncs != 1 {
+		t.Fatalf("%d syncs, want only Create's: a tick writes through without an fsync", st.Syncs)
+	}
+}
+
 func TestMidLogCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(dir, testMeta(), Options{NoSync: true})
