@@ -3,8 +3,6 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-
-	"proteus/internal/wal"
 )
 
 // Admission: the queue of arrived jobs awaiting a concurrency slot, and
@@ -22,7 +20,6 @@ func (s *Scheduler) admit() {
 		next := heap.Pop(&s.queue).(*jobRun)
 		s.setState(next, Running)
 		s.insertRunning(next)
-		s.walTransition(wal.Record{Kind: wal.KindAdmit, JobID: next.job.ID})
 		next.startedAt = s.eng.Now()
 		next.lastAccrue = s.eng.Now()
 		if s.cfg.Hooks != nil {

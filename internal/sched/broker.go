@@ -9,7 +9,6 @@ import (
 	"proteus/internal/market"
 	"proteus/internal/obs"
 	"proteus/internal/trace"
-	"proteus/internal/wal"
 )
 
 // The footprint broker: the shared pool's books (allocations, leases,
@@ -176,7 +175,6 @@ func (s *Scheduler) release(ba *brokerAlloc) {
 	j.leasedCores -= ba.cores()
 	ba.lastHolder = j
 	ba.holder = nil
-	s.walTransition(wal.Record{Kind: wal.KindRelease, JobID: j.job.ID, Alloc: int(ba.alloc.ID), Cores: ba.cores()})
 	s.recomputeRate(j)
 	if j.hooks != nil {
 		var err error
@@ -199,7 +197,6 @@ func (s *Scheduler) release(ba *brokerAlloc) {
 func (s *Scheduler) grant(ba *brokerAlloc, j *jobRun) {
 	ba.holder = j
 	ba.leaseStart = s.eng.Now()
-	s.walTransition(wal.Record{Kind: wal.KindLease, JobID: j.job.ID, Alloc: int(ba.alloc.ID), Cores: ba.cores()})
 	if j.span != nil {
 		ba.leaseSpan = j.span.ChildDetail("sched", "lease",
 			leaseGrantDetail(ba.alloc.ID, ba.alloc.Count, ba.alloc.Type.Name, ba.cores()))
@@ -348,15 +345,10 @@ func (s *Scheduler) EvictionWarning(a *market.Allocation, _ time.Duration) {
 		// even arrived. Record the hit and how much lead it bought.
 		s.resolvePredrain(ba, true)
 	}
-	holderID := -1
-	if j := ba.holder; j != nil {
-		holderID = j.job.ID
-		if j.span != nil {
-			j.span.Eventf("sched", "eviction-warning",
-				"alloc %d (%d cores): lease reclaimed, draining within warning window", a.ID, ba.cores())
-		}
+	if j := ba.holder; j != nil && j.span != nil {
+		j.span.Eventf("sched", "eviction-warning",
+			"alloc %d (%d cores): lease reclaimed, draining within warning window", a.ID, ba.cores())
 	}
-	s.walTransition(wal.Record{Kind: wal.KindWarning, JobID: holderID, Alloc: int(a.ID), Cores: ba.cores()})
 	s.release(ba)
 	s.rebalance("warning")
 }
@@ -373,12 +365,10 @@ func (s *Scheduler) Evicted(a *market.Allocation) {
 	if ba.predrained {
 		s.resolvePredrain(ba, true) // eviction with no prior warning still validates the drain
 	}
-	s.walTransition(wal.Record{Kind: wal.KindEvict, JobID: -1, Alloc: int(a.ID), Cores: ba.cores()})
 	var parent *obs.Span
 	if j := ba.lastHolder; j != nil {
 		// The in-progress hour's charge comes back on eviction (§2.2 "free
 		// compute"); record it in the causal tree of the job that paid it.
-		s.walTransition(wal.Record{Kind: wal.KindRefund, JobID: j.job.ID, Alloc: int(a.ID), Amount: a.HourCharge()})
 		if j.span != nil {
 			j.span.Eventf("sched", "refund",
 				"alloc %d evicted: $%.4f refunded for the in-progress hour", a.ID, a.HourCharge())

@@ -6,7 +6,6 @@ import (
 	"proteus/internal/bidbrain"
 	"proteus/internal/market"
 	"proteus/internal/obs"
-	"proteus/internal/wal"
 )
 
 // The decision path.
@@ -382,8 +381,6 @@ func (s *Scheduler) acquire(cand *bidbrain.Candidate, n int, parent *obs.Span) b
 	}
 	ba := &brokerAlloc{alloc: alloc, bidDelta: cand.BidDelta}
 	s.addAlloc(ba)
-	s.walTransition(wal.Record{Kind: wal.KindAcquire, JobID: -1, Alloc: int(alloc.ID),
-		Cores: ba.cores(), Amount: cand.Bid, Detail: cand.Type.Name})
 	s.scheduleHourEnd(ba)
 	return true
 }

@@ -7,7 +7,6 @@ import (
 	"proteus/internal/forecast"
 	"proteus/internal/market"
 	"proteus/internal/obs"
-	"proteus/internal/wal"
 )
 
 // ProactiveDrainer extends ElasticHooks with a forecast-initiated drain:
@@ -278,8 +277,6 @@ func (s *Scheduler) preDrain(ba *brokerAlloc, p float64) {
 	s.fc.predrains++
 	s.obs().Reg().Counter("proteus_forecast_predrains_total",
 		"forecast-initiated proactive drains").Inc()
-	s.walTransition(wal.Record{Kind: wal.KindPreDrain, JobID: j.job.ID,
-		Alloc: int(ba.alloc.ID), Cores: ba.cores(), Amount: p})
 	if j.span != nil {
 		j.span.Eventf("sched", "pre-drain",
 			"alloc %d (%d cores): forecast P(evict within %v)=%.3f >= %.2f, draining ahead of the warning",

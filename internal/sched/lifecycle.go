@@ -151,7 +151,7 @@ func (s *Scheduler) startJobsLocked() error {
 		if s.draining || s.allTerminal() {
 			return
 		}
-		s.walTransition(wal.Record{Kind: wal.KindTick, JobID: -1})
+		s.walWatermark(watermarkPeriod)
 		// Forecast first: pre-drains must release their leases (and
 		// pre-acquires claim their replacements) before the regular
 		// decision sees the footprint.
@@ -214,6 +214,7 @@ func (s *Scheduler) settleLocked() (*Result, error) {
 	s.ticker.Stop()
 	s.finished = true
 	defer s.mkt.SetHandler(nil)
+	s.walWatermark(0) // a drained log's resume point is the settle instant
 	if s.runErr != nil {
 		return nil, s.runErr
 	}
@@ -384,7 +385,6 @@ func (s *Scheduler) arrive(j *jobRun) {
 	j.queuedAt = now
 	if j.job.Deadline > 0 && now >= s.startAt+j.job.Deadline {
 		s.setState(j, Expired)
-		s.walTransition(wal.Record{Kind: wal.KindExpire, JobID: j.job.ID})
 		s.jobCounter("expired").Inc()
 		s.emitJob(EventExpired, j, fmt.Sprintf("arrived after deadline %v", j.job.Deadline))
 		s.endJobSpan(j, "expired")
@@ -418,7 +418,6 @@ func (s *Scheduler) onJobDone(j *jobRun) {
 	// finished job, kept for good, must not pin the event's slab.
 	j.completion = nil
 	j.finished = s.eng.Now()
-	s.walTransition(wal.Record{Kind: wal.KindDone, JobID: j.job.ID, Amount: j.work})
 	s.jobCounter("done").Inc()
 	s.emitJob(EventDone, j, fmt.Sprintf("work=%.1f evictions=%d", j.work, j.evictions))
 	if j.span != nil {

@@ -45,10 +45,11 @@ func JobFromRecord(r wal.JobRecord) Job {
 // pacing) reproduces the original run's bills, trace trees, and stats
 // bit-identically — recovery is replay-from-inputs, not state surgery.
 //
-// log, when non-nil, becomes the recovered scheduler's live WAL:
-// re-executed transitions up to the replay's last virtual instant are
-// suppressed (their records already exist), new activity appends as
-// usual. A nil log recovers read-only (tests, offline audits).
+// log, when non-nil, becomes the recovered scheduler's live WAL: new
+// submissions append as usual, and watermarks resume an hour past the
+// replay's last virtual instant, so replaying the recovered history
+// logs nothing twice. A nil log recovers read-only (tests, offline
+// audits).
 func Recover(eng *sim.Engine, mkt *market.Market, cfg Config, replay *wal.Replay, log wal.Writer) (*Scheduler, error) {
 	if replay == nil {
 		return nil, fmt.Errorf("sched: Recover needs a replay")
@@ -64,18 +65,19 @@ func Recover(eng *sim.Engine, mkt *market.Market, cfg Config, replay *wal.Replay
 		}
 	}
 	s.wal = log
-	s.walMuteUntil = replay.LastVirtual
+	s.walMarkAt = replay.LastVirtual
 	s.resumeTo = replay.LastVirtual
 	s.recovered = true
 	s.recoveredJobs = len(replay.Jobs)
 	return s, nil
 }
 
-// walSubmit logs one accepted submission. Called with the effective
-// arrival already computed and before any state mutation: a failed
-// append rejects the Submit, so no job exists in memory that the log
-// does not know. Recovery resubmission runs with s.wal == nil (set only
-// after the replay loop), so restored jobs are not logged twice.
+// walSubmit logs one accepted submission: with the meta record, the
+// only input replay needs. Called with the effective arrival already
+// computed and before any state mutation: a failed append rejects the
+// Submit, so no job exists in memory that the log does not know.
+// Recovery resubmission runs with s.wal == nil (set only after the
+// replay loop), so restored jobs are not logged twice.
 func (s *Scheduler) walSubmit(j *jobRun) error {
 	if s.wal == nil {
 		return nil
@@ -90,19 +92,21 @@ func (s *Scheduler) walSubmit(j *jobRun) error {
 	return err
 }
 
-// walTransition logs one scheduler state transition (audit trail).
-// Muted while a recovered run replays history whose records already
-// exist — strictly before walMuteUntil, so transitions at exactly the
-// crash instant may append duplicate audit records (harmless: replay
-// correctness rides on submit records, which are never muted this way).
-// An append failure fails the run: the log can no longer promise
-// durability, and carrying on would silently widen the gap.
-func (s *Scheduler) walTransition(r wal.Record) {
-	if s.wal == nil || s.eng.Now() < s.walMuteUntil {
+// walWatermark logs the virtual instant the run has reached, when the
+// clock stands past the last watermark by at least gap. A watermark is
+// the resume point a recovered Serve loop fast-forwards to unpaced;
+// the scheduler's transitions are not logged, since replaying the
+// submissions re-derives every one of them (the span stream is their
+// audit record). An append failure fails the run: the log can no
+// longer promise durability, and carrying on would silently widen the
+// gap.
+func (s *Scheduler) walWatermark(gap time.Duration) {
+	now := s.eng.Now()
+	if s.wal == nil || now <= s.walMarkAt || now-s.walMarkAt < gap {
 		return
 	}
-	r.AtNs = int64(s.eng.Now())
-	if _, err := s.wal.Append(r); err != nil {
+	s.walMarkAt = now
+	if _, err := s.wal.Append(wal.Record{Kind: wal.KindTick, AtNs: int64(now), JobID: -1}); err != nil {
 		s.fail(fmt.Errorf("sched: wal append: %w", err))
 	}
 }
