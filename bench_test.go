@@ -303,8 +303,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkRecovery times wal.Recover over a log shaped like a real
-// run: one meta record, 256 submissions, and ~4k transition records in
-// a single segment. This is the restart-latency budget — how long a
+// run: one meta record, 256 submissions, and 4,096 watermarks in a
+// single segment. This is the restart-latency budget — how long a
 // crashed control plane spends reading its history before it can serve.
 func BenchmarkRecovery(b *testing.B) {
 	dir := b.TempDir()

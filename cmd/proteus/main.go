@@ -64,7 +64,7 @@ func main() {
 	serveForecast := flag.Bool("forecast", false, "with -serve, enable the online eviction forecaster: jobs submitted with \"proactive\": true are pre-drained ahead of predicted evictions, and /v1/stats gains the forecast block")
 	addr := flag.String("addr", serveDefaults.addr, "with -serve, the listen address for the control-plane API")
 	speedup := flag.Float64("speedup", serveDefaults.speedup, "with -serve, virtual seconds per wall second while jobs run (0 = as fast as possible)")
-	walDir := flag.String("wal-dir", "", "with -serve, append every submission and state transition to a write-ahead log in this directory; a directory already holding a log is recovered (crash restart) instead of started fresh")
+	walDir := flag.String("wal-dir", "", "with -serve, append every submission and an hourly virtual-time watermark to a write-ahead log in this directory; a directory already holding a log is recovered (crash restart) instead of started fresh")
 	walSegMB := flag.Int("wal-segment-mb", serveDefaults.walSegmentMB, "with -wal-dir, segment size in MiB before snapshot+compaction")
 	maxQueue := flag.Int("max-queue", 0, "with -serve, cap on jobs waiting for admission; submissions beyond it get 429 + Retry-After (0 = unbounded)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "with -serve, cap on simultaneously running jobs (0 = unbounded)")

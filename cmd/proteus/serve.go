@@ -21,10 +21,10 @@ import (
 type serveOptions struct {
 	addr    string
 	speedup float64
-	// walDir enables the durable control plane: every submission and
-	// state transition appends to a write-ahead log there, and a
-	// directory already holding a log is recovered instead of started
-	// fresh (the logged environment wins over the flags).
+	// walDir enables the durable control plane: every submission and an
+	// hourly virtual-time watermark append to a write-ahead log there,
+	// and a directory already holding a log is recovered instead of
+	// started fresh (the logged environment wins over the flags).
 	walDir string
 	// walSegmentMB sizes log segments before snapshot+compaction.
 	walSegmentMB int
@@ -203,9 +203,9 @@ func runServe(ctx context.Context, cfg experiments.MarketConfig, o *obs.Observer
 		log.Printf("http server: %v", herr)
 	}
 	if wlog != nil {
-		// Drain barrier: every record the settle just appended (drain
-		// accounting included) reaches disk before the bill prints. The
-		// deferred Close then finds a clean log.
+		// Drain barrier: the settle's watermark, the drain's resume
+		// point, reaches disk before the bill prints. The deferred Close
+		// then finds a clean log.
 		if werr := wlog.Sync(); werr != nil {
 			log.Printf("wal: %v", werr)
 		} else {
