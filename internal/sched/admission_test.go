@@ -3,6 +3,8 @@ package sched
 import (
 	"container/heap"
 	"errors"
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -61,18 +63,52 @@ func TestAdmissionMatchesGlobalOrder(t *testing.T) {
 	}
 }
 
+// tickGate is a write-ahead log that lets one submitter in at the run's
+// first watermark, the drive loop's first hourly tick. It closes
+// ticking, waits until the submitter is blocked in Submit, and holds
+// mu past sync.Mutex's 1 ms starvation threshold, so the loop hands the
+// lock over within a step or two instead of winning it back.
+type tickGate struct {
+	wal.Writer
+	s       *Scheduler
+	ticking chan struct{}
+	at      time.Duration // the first watermark's virtual instant
+}
+
+func (g *tickGate) Append(r wal.Record) (uint64, error) {
+	if r.Kind == wal.KindTick && g.at == 0 {
+		g.at = time.Duration(r.AtNs)
+		close(g.ticking)
+		for g.s.submitWaiters.Load() == 0 {
+			runtime.Gosched()
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return g.Writer.Append(r)
+}
+
 // TestSubmitWhileTicking runs under -race in CI: another goroutine
-// submits while the drive loop steps through decision ticks, whose plan
-// phase runs with mu released. Every job must be accepted and finish.
+// submits while Run steps through decision ticks, whose plan phase runs
+// with mu released. Run's contract is that Submit may inject jobs while
+// it drives: the first job submitted after the first tick, with jobs[0]
+// not yet arrived, must be accepted, and every accepted job must finish.
 func TestSubmitWhileTicking(t *testing.T) {
 	f := newRecoveryFixture(t, 21)
 	eng, mkt := f.env(t)
 	cfg := f.config(eng)
 	cfg.MaxConcurrent = 3
+	log, err := wal.Create(t.TempDir(), wal.Meta{Seed: 21}, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	gate := &tickGate{Writer: log, ticking: make(chan struct{})}
+	cfg.WAL = gate
 	s, err := New(eng, mkt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.s = s
 	jobs := shardJobs()
 	// Seed the run with long-arriving work so it is still ticking while the
 	// other goroutine submits.
@@ -82,10 +118,19 @@ func TestSubmitWhileTicking(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		for _, j := range jobs[1:] {
+		<-gate.ticking
+		if err := s.Submit(jobs[1]); err != nil {
+			errc <- fmt.Errorf("job 1, submitted while Run was ticking: %w", err)
+			return
+		}
+		for _, j := range jobs[2:] {
 			if err := s.Submit(j); err != nil {
-				errc <- err
-				return
+				// The run may settle before the last Submits land; only
+				// that refusal is acceptable.
+				if !errors.Is(err, ErrDraining) {
+					errc <- err
+					return
+				}
 			}
 		}
 		errc <- nil
@@ -95,11 +140,13 @@ func TestSubmitWhileTicking(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-errc; err != nil {
-		// The run may settle before the last Submit lands; only that
-		// refusal is acceptable.
-		if !errors.Is(err, ErrDraining) {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
+	}
+	if gate.at <= 0 || gate.at >= s.startAt+jobs[0].Arrival {
+		t.Fatalf("first watermark at %v, want it before jobs[0] arrives at +%v", gate.at, jobs[0].Arrival)
+	}
+	if len(res.Jobs) < 2 || res.Jobs[1].Job.ID != 1 || s.startAt+res.Jobs[1].Job.Arrival <= gate.at {
+		t.Fatalf("job 1 was not injected into the live timeline after the first tick")
 	}
 	for _, jr := range res.Jobs {
 		if jr.State != Done {
