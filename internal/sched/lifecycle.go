@@ -2,9 +2,9 @@ package sched
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -169,8 +169,8 @@ func (s *Scheduler) startJobsLocked() error {
 }
 
 // Run executes every submitted job and returns the consolidated
-// accounting. It drives the engine until all jobs reach a terminal
-// state or the market horizon is exhausted. The mutex is released
+// accounting: Serve's loop, unpaced, settling as soon as every job is
+// terminal (or the market horizon is exhausted). The mutex is released
 // between engine steps, so Submit may inject jobs while Run is driving.
 func (s *Scheduler) Run() (*Result, error) {
 	s.mu.Lock()
@@ -187,25 +187,7 @@ func (s *Scheduler) Run() (*Result, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	for s.runErr == nil && !s.allTerminal() && s.eng.Now() <= s.horizon {
-		stepped := s.eng.Step()
-		// Yield between steps: a concurrent Submit (the API path) takes
-		// the mutex here and injects into the live timeline. The unlock
-		// alone is not enough — an immediate re-Lock usually wins the
-		// unfair mutex race — so hand the processor over when submitters
-		// are actually waiting.
-		s.mu.Unlock()
-		if s.submitWaiters.Load() > 0 {
-			runtime.Gosched()
-		}
-		s.mu.Lock()
-		if !stepped {
-			break
-		}
-	}
-	res, err := s.settleLocked()
-	s.mu.Unlock()
-	return res, err
+	return s.drive(context.Background(), 0, true)
 }
 
 // settleLocked finalizes the run: accrues the stragglers, executes the

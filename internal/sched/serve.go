@@ -40,6 +40,17 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 		s.mu.Unlock()
 		return nil, err
 	}
+	return s.drive(ctx, sc.Speedup, false)
+}
+
+// drive steps the engine until the run settles, then settles it: the
+// one loop behind Run and Serve. A positive speedup paces virtual time
+// against the wall clock; otherwise the engine steps as fast as it
+// can. With untilIdle the run settles as soon as every job is
+// terminal; without it an idle scheduler waits for a submission until
+// ctx is canceled. Callers hold mu, which drive releases between steps
+// (so Submit may inject jobs) and returns released.
+func (s *Scheduler) drive(ctx context.Context, speedup float64, untilIdle bool) (*Result, error) {
 	vtarget := s.eng.Now() // virtual budget the pace has released
 	if s.resumeTo > vtarget {
 		// Recovered scheduler: the crashed run had already reached
@@ -49,17 +60,11 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 		// the crash happened.
 		vtarget = s.resumeTo
 	}
-	s.mu.Unlock()
-
 	lastWall := time.Now()
-	for {
+	for s.runErr == nil && s.eng.Now() <= s.horizon {
 		wait := time.Duration(-1) // <0: sleep until wake or shutdown
-		s.mu.Lock()
-		if s.runErr != nil || s.eng.Now() > s.horizon {
-			break // settle with the lock held
-		}
 		active := !s.allTerminal()
-		if !active && s.closing {
+		if !active && (s.closing || untilIdle) {
 			break
 		}
 		if active {
@@ -70,10 +75,10 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 				// spent). Settle rather than spin.
 				break
 			}
-			paced := sc.Speedup > 0 && !s.closing
+			paced := speedup > 0 && !s.closing
 			if paced {
 				wallNow := time.Now()
-				vtarget += time.Duration(float64(wallNow.Sub(lastWall)) * sc.Speedup)
+				vtarget += time.Duration(float64(wallNow.Sub(lastWall)) * speedup)
 				lastWall = wallNow
 			}
 			if !paced || next <= vtarget {
@@ -85,11 +90,12 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 				if s.submitWaiters.Load() > 0 {
 					runtime.Gosched()
 				}
+				s.mu.Lock()
 				continue
 			}
 			// Ahead of the pace: sleep on the wall clock until the next
 			// event's virtual time is released (or a submission lands).
-			wait = time.Duration(float64(next-vtarget) / sc.Speedup)
+			wait = time.Duration(float64(next-vtarget) / speedup)
 			if wait < time.Millisecond {
 				wait = time.Millisecond
 			}
@@ -110,11 +116,10 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 			timer = time.NewTimer(wait)
 			fire = timer.C
 		}
+		canceled := false
 		select {
 		case <-ctx.Done():
-			s.mu.Lock()
-			s.closing = true
-			s.mu.Unlock()
+			canceled = true
 		case <-s.wake:
 		case <-fire:
 		}
@@ -126,6 +131,10 @@ func (s *Scheduler) Serve(ctx context.Context, sc ServeConfig) (*Result, error) 
 			// (wait >= 0) keeps its base: that wall time is exactly what
 			// releases the next event.
 			lastWall = time.Now()
+		}
+		s.mu.Lock()
+		if canceled {
+			s.closing = true
 		}
 	}
 	res, err := s.settleLocked()
