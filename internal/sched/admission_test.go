@@ -154,43 +154,3 @@ func TestSubmitWhileTicking(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedWALCrashRecovery is the durability acceptance test for the
-// retired sharded on-disk layout: internal/wal's sharded-3 fixture is the
-// log a real run left behind when it died after its 500th record (one
-// shard's tail torn). Its merged replay, resumed, must reproduce an
-// uninterrupted run of the same jobs byte for byte, bills and trace
-// trees. (internal/wal's own tests cover opening such a directory for
-// writes, which makes it flat.)
-func TestShardedWALCrashRecovery(t *testing.T) {
-	replay, err := wal.Recover("../wal/testdata/sharded-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replay.Jobs) != 20 || replay.LastVirtual <= 0 || !replay.TornDropped {
-		t.Fatalf("fixture restored %d jobs at %v (torn %v)", len(replay.Jobs), replay.LastVirtual, replay.TornDropped)
-	}
-	jobs := make([]Job, len(replay.Jobs))
-	for i, jr := range replay.Jobs {
-		jobs[i] = JobFromRecord(jr)
-	}
-	_, _, want := goldenRun(t, jobs, nil)
-
-	f := newRecoveryFixture(t, replay.Meta.Seed)
-	eng, mkt := f.env(t)
-	cfg := goldenConfig(f.config(eng), nil)
-	rs, err := Recover(eng, mkt, cfg, replay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := rs.Stats(); !st.Recovered || st.RecoveredJobs != len(jobs) {
-		t.Fatalf("recovered stats = %+v", st)
-	}
-	if got := fingerprint(t, res, cfg.Observer); got != want {
-		t.Fatal("recovered sharded run diverges from uninterrupted run")
-	}
-}

@@ -80,7 +80,7 @@ func TestSnapshotBytesMatchMarshal(t *testing.T) {
 			meta = rep.Meta
 			held = rep.Jobs
 			lastVirt = int64(rep.LastVirtual)
-			want = reference(meta, l.LastSeq())
+			want = reference(meta, l.Stats().LastSeq)
 			check("open")
 			if life == 1 && (bytes.Contains(want, []byte(`\ufffd`)) || !bytes.Contains(want, []byte("\uFFFD"))) {
 				t.Fatal("after a restart the invalid-UTF-8 name must be held as a literal U+FFFD")
@@ -147,7 +147,7 @@ func rotationAllocs(t *testing.T, submits int) (float64, int) {
 		}
 	}
 	audit := Record{Kind: KindLease, AtNs: int64(time.Hour), JobID: 1, Alloc: 7, Cores: 128}
-	for l.LastSeq() < startSeq {
+	for l.Stats().LastSeq < startSeq {
 		if _, err := l.Append(audit); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func appendJobs(t *testing.T, l *Log, first, n int) {
 		if _, err := l.Append(Record{Kind: KindSubmit, AtNs: j.ArrivalNs, JobID: i, Job: &j}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append(Record{Kind: KindAdmit, AtNs: j.ArrivalNs + int64(time.Minute), JobID: i}); err != nil {
+		if _, err := l.Append(Record{Kind: "admit", AtNs: j.ArrivalNs + int64(time.Minute), JobID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,10 +17,9 @@
 // once at settle. The newest watermark is the resume point a recovered
 // service fast-forwards to unpaced. What the scheduler did with its
 // inputs is not logged: replay re-derives every transition, and the
-// span stream is the audit record. The audit kinds (admit, lease,
-// release, evict, refund, done, ...) stay defined so that logs written
-// while the scheduler appended them still decode; Recover counts them,
-// with the watermarks, as Transitions.
+// span stream is the audit record. Logs written while the scheduler
+// still appended its transitions (admit, lease, release, evict, ...)
+// still decode: Recover counts those records and skips them.
 //
 // There is one writer, one on-disk layout and one decoder. The layout
 // (one directory):
@@ -69,8 +68,9 @@
 // (CRC check + encoding/json), serially. Reading the log is
 // 1–2 % of a restart — the rest re-simulates the run — so nothing here
 // is built for speed (DESIGN.md "Durability" has the measurements).
-// sharded.go reads the one retired layout (`shard-NNN/` streams) so that
-// Open can fold such a directory into this one.
+// The one retired layout, `shard-NNN/` stream directories, is not read:
+// Exists reports such a directory as a log, and Create, Open and
+// Recover refuse it with an error that names the layout.
 package wal
 
 import (
@@ -94,40 +94,22 @@ import (
 
 // Record kinds. Meta and submit records are the replay inputs, tick
 // records the scheduler's virtual-time watermarks. The scheduler writes
-// no other kind; the rest are the audit trail of older logs, defined so
-// those logs still decode.
+// no other kind; Recover counts any other kind, an older log's audit
+// trail, and skips it.
 const (
 	// KindMeta is the first record of a log: the environment inputs.
 	KindMeta = "meta"
 	// KindSubmit is one accepted job with its effective (post-clamp)
 	// arrival offset — the replay inputs.
 	KindSubmit = "submit"
-	// KindAdmit marks a job winning a concurrency slot.
-	KindAdmit = "admit"
-	// KindLease marks an allocation leased to a job.
-	KindLease = "lease"
-	// KindRelease marks a lease reclaimed from a job.
-	KindRelease = "release"
-	// KindWarning marks an eviction warning reclaiming a lease.
-	KindWarning = "evict-warning"
-	// KindEvict marks an allocation's machines vanishing.
-	KindEvict = "evict"
-	// KindRefund marks an eviction refunding the in-progress hour.
-	KindRefund = "refund"
-	// KindAcquire marks a spot acquisition joining the footprint.
-	KindAcquire = "acquire"
-	// KindDone marks a job reaching its target work.
-	KindDone = "done"
-	// KindExpire marks a job arriving at or after its deadline.
-	KindExpire = "expire"
 	// KindTick is a virtual-time watermark: the run had reached AtNs.
 	// Append writes it through to the kernel.
 	KindTick = "tick"
-	// KindPreDrain marks a forecast-initiated proactive drain of a
-	// still-live allocation (audit-only, like the other transitions: the
-	// forecaster re-derives the same decision from the replayed price
-	// stream).
-	KindPreDrain = "pre-drain"
+	// KindLease is an older log's lease record. Nothing writes it; the
+	// benchmark's wal.append_us (bench/layers.go) still times a lease
+	// frame, so it goes, with Record.Alloc, Cores and Detail, when the
+	// benchmark times a submit and a tick frame instead.
+	KindLease = "lease"
 )
 
 // Meta pins the inputs that determine a run besides its submissions:
@@ -165,13 +147,13 @@ type JobRecord struct {
 	Proactive  bool         `json:"proactive,omitempty"`
 	Spec       core.JobSpec `json:"spec"`
 	// Seq is the submit record's sequence number, stamped during recovery
-	// and snapshotting: submission order survives compaction (and orders
-	// the merge of a legacy sharded directory's streams).
+	// and snapshotting: submission order survives compaction.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
 // Record is one WAL entry. Seq is assigned by Append; JobID is -1 when
-// the record concerns no job (meta, tick).
+// the record concerns no job (meta, tick). Alloc, Cores and Detail are
+// set by nothing but the benchmark's lease frame (see KindLease).
 type Record struct {
 	Seq    uint64     `json:"seq"`
 	Kind   string     `json:"kind"`
@@ -179,7 +161,6 @@ type Record struct {
 	JobID  int        `json:"job_id"`
 	Alloc  int        `json:"alloc,omitempty"`
 	Cores  int        `json:"cores,omitempty"`
-	Amount float64    `json:"amount,omitempty"`
 	Detail string     `json:"detail,omitempty"`
 	Job    *JobRecord `json:"job,omitempty"`
 	Meta   *Meta      `json:"meta,omitempty"`
@@ -205,11 +186,8 @@ type Replay struct {
 	// LastVirtual is the latest virtual instant any record carries — the
 	// catch-up target for a recovered Serve loop.
 	LastVirtual time.Duration
-	// Records and Transitions count segment records replayed beyond the
-	// snapshot. Transitions counts all but meta and submit records: the
-	// watermarks, and an older log's audit records.
-	Records     int
-	Transitions int
+	// Records counts the segment records replayed beyond the snapshot.
+	Records int
 	// Segments is how many segment files were scanned.
 	Segments int
 	// FromSnapshot reports whether a snapshot seeded the replay.
@@ -257,7 +235,6 @@ type Writer interface {
 	Sync() error
 	Close() error
 	Stats() Stats
-	Meta() Meta
 }
 
 // Log is an open write-ahead log. Safe for concurrent use. I/O errors
@@ -343,7 +320,7 @@ func (s *segSort) Swap(i, j int) {
 }
 
 // Exists reports whether dir holds a prior WAL (segments, a snapshot, or
-// the shard directories of the legacy layout) — the Open-vs-Create
+// the shard directories of the retired layout) — the Open-vs-Create
 // decision for a service boot.
 func Exists(dir string) bool {
 	if names, _, err := listSegments(dir); err == nil && len(names) > 0 {
@@ -352,7 +329,20 @@ func Exists(dir string) bool {
 	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
 		return true
 	}
-	return len(shardDirs(dir)) > 0
+	return shardedErr(dir) != nil
+}
+
+// shardedErr names the retired sharded layout when dir holds one of its
+// `shard-NNN/` stream directories. That layout was last written before
+// the log had one writer; this package no longer reads it.
+func shardedErr(dir string) error {
+	entries, _ := os.ReadDir(dir) // a real error resurfaces in listSegments
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			return fmt.Errorf("wal: %s holds %s/, a log in the retired sharded layout, which this version cannot read", dir, e.Name())
+		}
+	}
+	return nil
 }
 
 // Create initializes a fresh log in dir (created if missing, must hold
@@ -361,11 +351,14 @@ func Create(dir string, meta Meta, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	if err := shardedErr(dir); err != nil {
+		return nil, err
+	}
 	names, _, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) > 0 || len(shardDirs(dir)) > 0 {
+	if len(names) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds a log (use Open to recover it)", dir)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
@@ -387,12 +380,9 @@ func Create(dir string, meta Meta, opts Options) (*Log, error) {
 // Open recovers an existing log and reopens it for appending. The
 // returned Replay carries the inputs to rebuild the scheduler. Appends
 // continue in a fresh segment (never into a possibly-torn old one), and
-// a new snapshot immediately compacts the recovered history — which is
-// also what turns a legacy sharded directory into a flat one: the
-// snapshot holds the merged streams, and once it is durable the shard
-// directories are redundant and go. The fresh segment's first sequence
-// is bumped past any existing segment name so a record-less active
-// segment left by a crash never collides.
+// a new snapshot immediately compacts the recovered history. The fresh
+// segment's first sequence is bumped past any existing segment name so
+// a record-less active segment left by a crash never collides.
 func Open(dir string, opts Options) (*Log, *Replay, error) {
 	r, err := Recover(dir)
 	if err != nil {
@@ -423,9 +413,6 @@ func Open(dir string, opts Options) (*Log, *Replay, error) {
 	if err := l.removeCoveredLocked(); err != nil {
 		return nil, nil, err
 	}
-	if err := l.removeShardsLocked(); err != nil {
-		return nil, nil, err
-	}
 	return l, r, nil
 }
 
@@ -434,27 +421,11 @@ func Open(dir string, opts Options) (*Log, *Replay, error) {
 // sequence continuity. A torn final record is dropped; anything else
 // malformed aborts with an error. The replay's LastVirtual is the
 // newest instant any record carries: the last watermark, or a later
-// submission.
+// submission. A log without a meta record (or a snapshot) is refused.
 func Recover(dir string) (*Replay, error) {
-	// Shard directories are the legacy layout — unless a flat snapshot
-	// sits next to them: that is a migration (see Open) that died before
-	// it removed them, and the snapshot already holds what they held.
-	_, flatErr := os.Stat(filepath.Join(dir, snapshotName))
-	if shards := shardDirs(dir); len(shards) > 0 && flatErr != nil {
-		return recoverShards(dir, shards)
+	if err := shardedErr(dir); err != nil {
+		return nil, err
 	}
-	r, _, err := recoverDir(dir, false)
-	return r, err
-}
-
-// recoverDir scans one log directory. In strict mode (a flat log)
-// sequence numbers must be contiguous and a meta record (or snapshot)
-// must be present. In loose mode — one stream of a legacy sharded
-// directory, which holds an arbitrary subset of the global sequence
-// space — seqs need only increase, and meta is optional (only shard 0
-// carries the meta record; the others gain it with their first
-// snapshot). The second return reports whether a meta was found.
-func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 	r := &Replay{}
 	expected := uint64(1)
 	haveMeta := false
@@ -462,7 +433,7 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
 		var snap Snapshot
 		if err := json.Unmarshal(raw, &snap); err != nil {
-			return nil, false, fmt.Errorf("wal: %s: %w", snapshotName, err)
+			return nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
 		}
 		r.Meta = snap.Meta
 		r.Jobs = snap.Jobs
@@ -472,15 +443,15 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 		haveMeta = true
 		expected = snap.LastSeq + 1
 	} else if !os.IsNotExist(err) {
-		return nil, false, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 
 	names, _, err := listSegments(dir)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if len(names) == 0 && !r.FromSnapshot {
-		return nil, false, fmt.Errorf("wal: %s holds no log", dir)
+		return nil, fmt.Errorf("wal: %s holds no log", dir)
 	}
 	r.Segments = len(names)
 	snapLast := r.LastSeq
@@ -489,7 +460,7 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 		last := i == len(names)-1
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			return nil, false, fmt.Errorf("wal: %w", err)
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 		torn := false
 		scanErr := scanFrames(f, func(line []byte) error {
@@ -504,11 +475,7 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 			if rec.Seq <= snapLast {
 				return nil // already covered by the snapshot
 			}
-			if loose {
-				if rec.Seq < expected {
-					return fmt.Errorf("wal: %s: sequence went backwards: got %d after %d", name, rec.Seq, expected-1)
-				}
-			} else if rec.Seq != expected {
+			if rec.Seq != expected {
 				return fmt.Errorf("wal: %s: sequence gap: got %d, want %d", name, rec.Seq, expected)
 			}
 			expected = rec.Seq + 1
@@ -530,26 +497,24 @@ func recoverDir(dir string, loose bool) (*Replay, bool, error) {
 				jr := *rec.Job
 				jr.Seq = rec.Seq
 				r.Jobs = append(r.Jobs, jr)
-			default:
-				r.Transitions++
 			}
 			return nil
 		})
 		f.Close() // read-only: nothing to lose
 		if scanErr != nil {
-			return nil, false, scanErr
+			return nil, scanErr
 		}
 		if torn {
 			if !last {
-				return nil, false, fmt.Errorf("wal: %s: corrupt final record in a non-final segment", name)
+				return nil, fmt.Errorf("wal: %s: corrupt final record in a non-final segment", name)
 			}
 			r.TornDropped = true
 		}
 	}
-	if !haveMeta && !loose {
-		return nil, false, fmt.Errorf("wal: %s holds no meta record", dir)
+	if !haveMeta {
+		return nil, fmt.Errorf("wal: %s holds no meta record", dir)
 	}
-	return r, haveMeta, nil
+	return r, nil
 }
 
 // maxFrameBytes bounds one frame, newline included. It is the writer's
@@ -881,21 +846,6 @@ func (l *Log) Close() error {
 		return syncErr
 	}
 	return closeErr
-}
-
-// LastSeq returns the sequence number of the most recently appended
-// record (0 when only nothing or the meta record is pending assignment).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
-
-// Meta returns the log's environment record.
-func (l *Log) Meta() Meta {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.meta
 }
 
 // Stats summarizes the log for /v1/stats.
