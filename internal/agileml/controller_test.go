@@ -1,6 +1,7 @@
 package agileml
 
 import (
+	"fmt"
 	"testing"
 
 	"proteus/internal/cluster"
@@ -332,6 +333,58 @@ func TestPartialEvictionMigratesPartitions(t *testing.T) {
 	objLater, _ := runner.Objective()
 	if objLater >= objAfter {
 		t.Fatal("no progress after partial eviction")
+	}
+}
+
+// TestEvictionHandOffInMachineOrder warns three ActivePS-holding
+// transients at once. Their partitions go round-robin to the receivers,
+// so which survivor gets which partition depends on the order the warned
+// machines are walked in: ascending MachineID, whatever the order of
+// the warning's IDs (and never Go's map order).
+func TestEvictionHandOffInMachineOrder(t *testing.T) {
+	seed := append(mkMachines(0, cluster.Reliable, 2), mkMachines(2, cluster.Transient, 8)...)
+	ctrl := newController(t, testApp(14), seed)
+	router := ctrl.Router()
+	owners := func() []string {
+		out := make([]string, router.NumPartitions())
+		for p := range out {
+			o, err := router.Owner(ps.PartitionID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[p] = o.Name()
+		}
+		return out
+	}
+	// Before the warning, partition p is on m(2 + p%4).
+	for p, name := range owners() {
+		if want := fmt.Sprintf("m%d/activeps", 2+p%4); name != want {
+			t.Fatalf("before the warning partition %d is on %s, want %s", p, name, want)
+		}
+	}
+	if err := ctrl.HandleEvictionWarning([]cluster.MachineID{4, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	// The partitions of m2, m3 and m4, in that order, go round-robin to
+	// m6, m7, m8, m9 (transients without an ActivePS) and then m5.
+	want := []cluster.MachineID{
+		6, 9, 7, 5,
+		7, 5, 8, 5,
+		8, 6, 9, 5,
+		9, 7, 5, 5,
+		5, 8, 6, 5,
+		6, 9, 7, 5,
+		7, 5, 8, 5,
+		8, 6, 9, 5,
+	}
+	got := owners()
+	if len(got) != len(want) {
+		t.Fatalf("%d partitions, want %d", len(got), len(want))
+	}
+	for p, name := range got {
+		if w := fmt.Sprintf("m%d/activeps", want[p]); name != w {
+			t.Errorf("partition %d handed to %s, want %s", p, name, w)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package agileml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -214,10 +215,18 @@ func (c *Controller) HandleEvictionWarning(ids []cluster.MachineID) error {
 		}
 		evicted[id] = true
 	}
+	// Walk the warned machines in ascending ID, never in map order: the
+	// round-robin hand-off below gives each partition the receiver its
+	// place in this walk picks.
+	order := make([]cluster.MachineID, 0, len(evicted))
+	for id := range evicted {
+		order = append(order, id)
+	}
+	slices.Sort(order)
 
 	// Final flush from evicted actives happens regardless of scope.
 	min := c.router.Clocks().Min()
-	for id := range evicted {
+	for _, id := range order {
 		ms := c.machines[id]
 		if ms.serving == nil {
 			continue
@@ -258,7 +267,7 @@ func (c *Controller) HandleEvictionWarning(ids []cluster.MachineID) error {
 	receivers := append(append([]*machineState(nil), survivorsNoPS...), survivorsWithPS...)
 
 	next := 0
-	for id := range evicted {
+	for _, id := range order {
 		ms := c.machines[id]
 		if ms.serving == nil {
 			continue

@@ -183,28 +183,6 @@ type Event struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-func eventWire(ev sched.Event) Event {
-	out := Event{
-		Kind:      ev.Kind,
-		AtMinutes: minutes(ev.At),
-		Detail:    ev.Detail,
-		TraceID:   obs.IDString(ev.TraceID),
-		SpanID:    obs.IDString(ev.SpanID),
-	}
-	if ev.Kind == sched.EventTimeline {
-		if ev.Util != nil {
-			u := utilWire(*ev.Util)
-			out.Util = &u
-		}
-	} else {
-		id := ev.JobID
-		out.JobID = &id
-		out.JobName = ev.JobName
-		out.State = ev.State.String()
-	}
-	return out
-}
-
 // SubmitResponse reports which jobs a POST /v1/jobs accepted. On error
 // Accepted lists the prefix admitted before the failure.
 type SubmitResponse struct {
