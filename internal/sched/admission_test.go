@@ -4,12 +4,9 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
-
-	"proteus/internal/wal"
 )
 
 // shardJobs is the golden-fingerprint workload: staggered arrivals, mixed
@@ -63,94 +60,88 @@ func TestAdmissionMatchesGlobalOrder(t *testing.T) {
 	}
 }
 
-// tickGate is a write-ahead log that lets one submitter in at the run's
-// first watermark, the drive loop's first hourly tick. It closes
-// ticking, waits until the submitter is blocked in Submit, and holds
-// mu past sync.Mutex's 1 ms starvation threshold, so the loop hands the
-// lock over within a step or two instead of winning it back.
-type tickGate struct {
-	wal.Writer
-	s       *Scheduler
-	ticking chan struct{}
-	at      time.Duration // the first watermark's virtual instant
+// submitGate is a placement policy that, the first time a decision
+// tick consults it with mu released (the plan phase, where Submit
+// callers get in), opens a window for a submitter and waits until the
+// submitter closes done. Only the drive loop calls Shares.
+type submitGate struct {
+	Policy
+	s      *Scheduler
+	opened bool
+	open   chan struct{}
+	done   chan struct{}
 }
 
-func (g *tickGate) Append(r wal.Record) (uint64, error) {
-	if r.Kind == wal.KindTick && g.at == 0 {
-		g.at = time.Duration(r.AtNs)
-		close(g.ticking)
-		for g.s.submitWaiters.Load() == 0 {
-			runtime.Gosched()
-		}
-		time.Sleep(2 * time.Millisecond)
+func (g *submitGate) Shares(now time.Duration, reqs []ShareRequest, total int) []int {
+	if !g.opened && g.s.mu.TryLock() {
+		g.s.mu.Unlock()
+		g.opened = true
+		close(g.open)
+		<-g.done
 	}
-	return g.Writer.Append(r)
+	return g.Policy.Shares(now, reqs, total)
 }
 
 // TestSubmitWhileTicking runs under -race in CI: another goroutine
 // submits while Run steps through decision ticks, whose plan phase runs
 // with mu released. Run's contract is that Submit may inject jobs while
-// it drives: the first job submitted after the first tick, with jobs[0]
-// not yet arrived, must be accepted, and every accepted job must finish.
+// it drives: every job submitted inside a tick, while jobs[0] is still
+// running, must be accepted and finish.
 func TestSubmitWhileTicking(t *testing.T) {
 	f := newRecoveryFixture(t, 21)
 	eng, mkt := f.env(t)
 	cfg := f.config(eng)
 	cfg.MaxConcurrent = 3
-	log, err := wal.Create(t.TempDir(), wal.Meta{Seed: 21}, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	gate := &tickGate{Writer: log, ticking: make(chan struct{})}
-	cfg.WAL = gate
+	gate := &submitGate{Policy: FairShare{}, open: make(chan struct{}), done: make(chan struct{})}
+	cfg.Policy = gate
 	s, err := New(eng, mkt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate.s = s
 	jobs := shardJobs()
-	// Seed the run with long-arriving work so it is still ticking while the
-	// other goroutine submits.
+	// Seed the run with long-arriving work, so the first tick that
+	// shares cores comes hours into the run.
 	jobs[0].Arrival = 6 * time.Hour
 	if err := s.Submit(jobs[0]); err != nil {
 		t.Fatal(err)
 	}
+	settled := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		<-gate.ticking
-		if err := s.Submit(jobs[1]); err != nil {
-			errc <- fmt.Errorf("job 1, submitted while Run was ticking: %w", err)
+		select {
+		case <-gate.open:
+		case <-settled:
+			errc <- errors.New("no decision tick consulted the policy with mu released")
 			return
 		}
-		for _, j := range jobs[2:] {
+		defer close(gate.done)
+		for _, j := range jobs[1:] {
 			if err := s.Submit(j); err != nil {
-				// The run may settle before the last Submits land; only
-				// that refusal is acceptable.
-				if !errors.Is(err, ErrDraining) {
-					errc <- err
-					return
-				}
+				errc <- fmt.Errorf("job %d, submitted inside a tick: %w", j.ID, err)
+				return
 			}
 		}
 		errc <- nil
 	}()
 	res, err := s.Run()
+	close(settled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if gate.at <= 0 || gate.at >= s.startAt+jobs[0].Arrival {
-		t.Fatalf("first watermark at %v, want it before jobs[0] arrives at +%v", gate.at, jobs[0].Arrival)
-	}
-	if len(res.Jobs) < 2 || res.Jobs[1].Job.ID != 1 || s.startAt+res.Jobs[1].Job.Arrival <= gate.at {
-		t.Fatalf("job 1 was not injected into the live timeline after the first tick")
+	if len(res.Jobs) != len(jobs) {
+		t.Fatalf("%d jobs settled, want %d", len(res.Jobs), len(jobs))
 	}
 	for _, jr := range res.Jobs {
 		if jr.State != Done {
 			t.Errorf("job %d ended %v", jr.Job.ID, jr.State)
+		}
+		// Injected live, each later job arrives after jobs[0] did.
+		if jr.Job.ID > 0 && jr.Job.Arrival <= jobs[0].Arrival {
+			t.Errorf("job %d arrived at +%v, before the tick it was submitted in", jr.Job.ID, jr.Job.Arrival)
 		}
 	}
 }
