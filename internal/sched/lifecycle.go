@@ -187,7 +187,9 @@ func (s *Scheduler) Run() (*Result, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	return s.drive(context.Background(), 0, true)
+	// Unpaced and settling once idle, the loop never waits, so it never
+	// reads the context.
+	return s.drive(context.TODO(), 0, true)
 }
 
 // settleLocked finalizes the run: accrues the stragglers, executes the
